@@ -15,14 +15,14 @@
 //! * default        — full soak, 1,048,576 payloads
 //! * `--frames N`   — override the payload budget (CI short-soak)
 //! * `--test`       — smoke: 20k payloads, full verification, no JSON
-//! * `--evloop`     — connection-scaling matrix: 8 → 512 agents under
-//!   both I/O models (`Threaded` vs `Reactor`), each cell verified for
-//!   zero loss and bit-identical quantiles, emitted to
+//! * `--evloop`     — connection scaling: 8 → 512 concurrent agents
+//!   into the reactor, each cell verified for zero loss and
+//!   bit-identical quantiles, emitted to
 //!   `results/BENCH_server_evloop.json`. With `--test`: a small CI
-//!   matrix (8 and 512 agents, short budget) that still writes the
+//!   scale (8 and 512 agents, short budget) that still writes the
 //!   JSON artifact.
-//! * `--query`      — query-under-sustained-ingest matrix:
-//!   `{LockedFold, EpochCached}` × `{Threaded, Reactor}`. Each cell
+//! * `--query`      — query under sustained ingest, one cell per read
+//!   plane (`LockedFold`, `EpochCached`). Each cell
 //!   drives 4 ingest agents flat-out over TCP while an in-process
 //!   sampler measures fleet-p99 query *service time* at ~1 kHz (the
 //!   PR 7 soak cadence); after the drain, every query family's answer
@@ -30,7 +30,7 @@
 //!   locked-fold cell's byte-for-byte — a cached read at the final
 //!   epoch must be bit-identical to a fresh under-lock fold of the same
 //!   data. Emits `results/BENCH_server_query.json`.
-//! * `--query-smoke` — the same matrix at a CI-sized budget; still
+//! * `--query-smoke` — the same two cells at a CI-sized budget; still
 //!   writes the JSON artifact, skips the ≥5× p99 assertion (timing on
 //!   shared CI runners is too noisy to gate on).
 
@@ -39,7 +39,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ddsketch::{AnyDDSketch, SketchConfig};
-use sketchd::{AgentSender, Bind, IoModel, QueryClient, ReadPlane, ServerConfig, ServerHandle};
+use sketchd::{AgentSender, Bind, QueryClient, ReadPlane, ServerConfig, ServerHandle};
 
 const AGENTS: usize = 8;
 const POOL: usize = 64;
@@ -115,23 +115,16 @@ fn write_json(
     }
 }
 
-/// One connection-scaling cell: `agents` concurrent senders under
-/// `io_model`, verified for zero loss and bit-identical quantiles.
+/// One connection-scaling cell: `agents` concurrent senders, verified
+/// for zero loss and bit-identical quantiles.
 struct CellResult {
-    io_model: &'static str,
     agents: usize,
     frames: u64,
     ns_per_payload: f64,
     payloads_per_sec: f64,
 }
 
-fn run_cell(
-    io_model: IoModel,
-    label: &'static str,
-    agents: usize,
-    frame_budget: u64,
-    pool: &Arc<Vec<Vec<u8>>>,
-) -> CellResult {
+fn run_cell(agents: usize, frame_budget: u64, pool: &Arc<Vec<Vec<u8>>>) -> CellResult {
     let per_agent = (frame_budget / agents as u64).max(1);
     let total_frames = per_agent * agents as u64;
     let server = ServerHandle::spawn(
@@ -142,7 +135,6 @@ fn run_cell(
             staging_bound: 256,
             fold_threshold: 32,
             window_secs: 10,
-            io_model,
             max_connections: 1024,
             ..ServerConfig::default()
         },
@@ -190,7 +182,7 @@ fn run_cell(
         if last_report.elapsed() > Duration::from_secs(5) {
             last_report = Instant::now();
             eprintln!(
-                "  [{label}/{agents}] {}/{total_frames} frames, open={} total={} susp={} \
+                "  [{agents} agents] {}/{total_frames} frames, open={} total={} susp={} \
                  depth={:?} rej={} disc={}",
                 stats.frames_ingested + stats.frames_rejected,
                 stats.open_connections,
@@ -203,7 +195,7 @@ fn run_cell(
         }
         assert!(
             Instant::now() < deadline,
-            "cell {label}/{agents} stalled at {}/{total_frames} frames",
+            "cell of {agents} agents stalled at {}/{total_frames} frames",
             stats.frames_ingested + stats.frames_rejected,
         );
         std::thread::sleep(Duration::from_millis(2));
@@ -211,7 +203,7 @@ fn run_cell(
     if std::env::var_os("EVLOOP_DEBUG").is_some() {
         let stats = client.stats().unwrap();
         eprintln!(
-            "  [{label}/{agents}] susp={} wakeups={} events={} bp_waits={}",
+            "  [{agents} agents] susp={} wakeups={} events={} bp_waits={}",
             stats.ingest_suspensions,
             stats.reactor_wakeups,
             stats.reactor_events,
@@ -225,7 +217,7 @@ fn run_cell(
     assert_eq!(
         client.count(TENANT).unwrap(),
         total_frames * VALUES_PER_FRAME as u64,
-        "{label}/{agents}: lost or duplicated values"
+        "{agents} agents: lost or duplicated values"
     );
     let decoded: Vec<AnyDDSketch> = pool
         .iter()
@@ -244,19 +236,18 @@ fn run_cell(
         assert_eq!(
             got.to_bits(),
             want.to_bits(),
-            "{label}/{agents} q={q}: served {got} != union {want}"
+            "{agents} agents q={q}: served {got} != union {want}"
         );
     }
     server.shutdown().unwrap();
 
     let payloads_per_sec = total_frames as f64 / elapsed.as_secs_f64();
     println!(
-        "  {label:>8} x {agents:>3} agents: {total_frames} payloads in {:>6.2}s -> {:>10} (verified bit-identical)",
+        "  {agents:>3} agents: {total_frames} payloads in {:>6.2}s -> {:>10} (verified bit-identical)",
         elapsed.as_secs_f64(),
         human_rate(payloads_per_sec),
     );
     CellResult {
-        io_model: label,
         agents,
         frames: total_frames,
         ns_per_payload: elapsed.as_nanos() as f64 / total_frames as f64,
@@ -273,33 +264,21 @@ fn run_evloop(test_mode: bool, frames_override: Option<u64>) {
     let frame_budget = frames_override.unwrap_or(if test_mode { 1 << 14 } else { 1 << 17 });
     let pool = Arc::new(payload_pool());
     println!(
-        "sketchd connection scaling: {{Threaded, Reactor}} x {agents_axis:?} agents, \
-         {frame_budget} payloads per cell\n"
+        "sketchd connection scaling: {agents_axis:?} agents, {frame_budget} payloads per cell\n"
     );
-    let mut cells = Vec::new();
-    for &agents in agents_axis {
-        for (io_model, label) in [
-            (IoModel::Threaded, "threaded"),
-            (IoModel::Reactor, "reactor"),
-        ] {
-            cells.push(run_cell(io_model, label, agents, frame_budget, &pool));
-        }
-    }
+    let cells: Vec<CellResult> = agents_axis
+        .iter()
+        .map(|&agents| run_cell(agents, frame_budget, &pool))
+        .collect();
 
     let mut rows = String::new();
     for (i, cell) in cells.iter().enumerate() {
         let sep = if i + 1 < cells.len() { ",\n    " } else { "" };
         rows.push_str(&format!(
-            "{{\"id\": \"evloop/{}/agents-{}\", \"ns_per_iter\": {:.1}, \
-             \"io_model\": \"{}\", \"agents\": {}, \"frames\": {}, \
+            "{{\"id\": \"evloop/agents-{}\", \"ns_per_iter\": {:.1}, \
+             \"agents\": {}, \"frames\": {}, \
              \"payloads_per_sec\": {:.0}}}{sep}",
-            cell.io_model,
-            cell.agents,
-            cell.ns_per_payload,
-            cell.io_model,
-            cell.agents,
-            cell.frames,
-            cell.payloads_per_sec,
+            cell.agents, cell.ns_per_payload, cell.agents, cell.frames, cell.payloads_per_sec,
         ));
     }
     let out = format!(
@@ -347,9 +326,8 @@ const VERIFY_LINES: [&str; 5] = [
 ];
 
 /// One query-matrix cell: sustained ingest with a concurrent query
-/// sampler under one `(io_model, read_plane)` pair.
+/// sampler under one read plane.
 struct QueryCell {
-    io_model: &'static str,
     read_plane: &'static str,
     frames: u64,
     payloads_per_sec: f64,
@@ -365,8 +343,6 @@ struct QueryCell {
 }
 
 fn run_query_cell(
-    io_model: IoModel,
-    io_label: &'static str,
     read_plane: ReadPlane,
     rp_label: &'static str,
     frame_budget: u64,
@@ -390,7 +366,6 @@ fn run_query_cell(
                 // to the workers' snapshot refreshes.
                 fold_threshold: 4096,
                 window_secs: 10,
-                io_model,
                 read_plane,
                 ..ServerConfig::default()
             },
@@ -463,7 +438,7 @@ fn run_query_cell(
         }
         assert!(
             Instant::now() < deadline,
-            "query cell {io_label}/{rp_label} stalled at {}/{total_frames} frames",
+            "query cell {rp_label} stalled at {}/{total_frames} frames",
             stats.frames_ingested,
         );
         std::thread::sleep(Duration::from_millis(2));
@@ -479,7 +454,7 @@ fn run_query_cell(
     assert_eq!(
         client.count(TENANT).unwrap(),
         total_frames * QUERY_VALUES_PER_FRAME as u64,
-        "{io_label}/{rp_label}: lost or duplicated values"
+        "{rp_label}: lost or duplicated values"
     );
     let decoded: Vec<AnyDDSketch> = pool
         .iter()
@@ -498,7 +473,7 @@ fn run_query_cell(
         assert_eq!(
             got.to_bits(),
             want.to_bits(),
-            "{io_label}/{rp_label} q={q}: served {got} != union {want}"
+            "{rp_label} q={q}: served {got} != union {want}"
         );
     }
 
@@ -518,14 +493,13 @@ fn run_query_cell(
     let p50_ns = percentile(&latencies_ns, 0.50);
     let p99_ns = percentile(&latencies_ns, 0.99);
     println!(
-        "  {io_label:>8} / {rp_label:<12} ingest {:>10}, {:>5} queries: p50 {:>8.1} µs, p99 {:>9.1} µs",
+        "  {rp_label:<12} ingest {:>10}, {:>5} queries: p50 {:>8.1} µs, p99 {:>9.1} µs",
         human_rate(payloads_per_sec),
         latencies_ns.len(),
         p50_ns as f64 / 1e3,
         p99_ns as f64 / 1e3,
     );
     QueryCell {
-        io_model: io_label,
         read_plane: rp_label,
         frames: total_frames,
         payloads_per_sec,
@@ -543,69 +517,43 @@ fn run_query_matrix(test_mode: bool, frames_override: Option<u64>) {
     let frame_budget = frames_override.unwrap_or(if test_mode { 1 << 14 } else { 1 << 18 });
     let pool = Arc::new(query_payload_pool());
     println!(
-        "sketchd query-under-ingest: {{Threaded, Reactor}} x {{LockedFold, EpochCached}}, \
+        "sketchd query-under-ingest: {{LockedFold, EpochCached}}, \
          {frame_budget} payloads per cell, fleet-p99 sampler at ~1 kHz\n"
     );
-    let mut cells = Vec::new();
-    let mut speedups = Vec::new();
-    for (io_model, io_label) in [
-        (IoModel::Threaded, "threaded"),
-        (IoModel::Reactor, "reactor"),
-    ] {
-        let locked = run_query_cell(
-            io_model,
-            io_label,
-            ReadPlane::LockedFold,
-            "locked-fold",
-            frame_budget,
-            &pool,
+    let locked = run_query_cell(ReadPlane::LockedFold, "locked-fold", frame_budget, &pool);
+    let cached = run_query_cell(ReadPlane::EpochCached, "epoch-cached", frame_budget, &pool);
+    // Both cells absorbed the same multiset of frames, so a cached
+    // read at the final epoch and a fresh under-lock fold of the same
+    // data must render byte-identical answers, family by family —
+    // including the answer-cache repeat.
+    assert_eq!(
+        locked.transcript, cached.transcript,
+        "epoch-cached answers diverged from the locked fold"
+    );
+    let speedup = locked.p99_ns as f64 / cached.p99_ns.max(1) as f64;
+    println!(
+        "  p99 speedup: {:.1} µs -> {:.1} µs = {speedup:.1}x (answers verified byte-identical)\n",
+        locked.p99_ns as f64 / 1e3,
+        cached.p99_ns as f64 / 1e3,
+    );
+    if !test_mode {
+        assert!(
+            speedup >= 5.0,
+            "epoch-cached p99 speedup {speedup:.1}x below the 5x bar"
         );
-        let cached = run_query_cell(
-            io_model,
-            io_label,
-            ReadPlane::EpochCached,
-            "epoch-cached",
-            frame_budget,
-            &pool,
-        );
-        // Both cells absorbed the same multiset of frames, so a cached
-        // read at the final epoch and a fresh under-lock fold of the
-        // same data must render byte-identical answers, family by
-        // family — including the answer-cache repeat.
-        assert_eq!(
-            locked.transcript, cached.transcript,
-            "{io_label}: epoch-cached answers diverged from the locked fold"
-        );
-        let speedup = locked.p99_ns as f64 / cached.p99_ns.max(1) as f64;
-        println!(
-            "  {io_label:>8} p99 speedup: {:.1} µs -> {:.1} µs = {speedup:.1}x (answers verified byte-identical)\n",
-            locked.p99_ns as f64 / 1e3,
-            cached.p99_ns as f64 / 1e3,
-        );
-        if !test_mode {
-            assert!(
-                speedup >= 5.0,
-                "{io_label}: epoch-cached p99 speedup {speedup:.1}x below the 5x bar"
-            );
-        }
-        speedups.push((io_label, speedup));
-        cells.push(locked);
-        cells.push(cached);
     }
 
     let mut rows = String::new();
-    for cell in &cells {
+    for cell in [&locked, &cached] {
         rows.push_str(&format!(
-            "{{\"id\": \"query/{}/{}\", \"ns_per_iter\": {}, \
-             \"io_model\": \"{}\", \"read_plane\": \"{}\", \"frames\": {}, \
+            "{{\"id\": \"query/{}\", \"ns_per_iter\": {}, \
+             \"read_plane\": \"{}\", \"frames\": {}, \
              \"payloads_per_sec\": {:.0}, \"queries\": {}, \
              \"p50_ns\": {}, \"p99_ns\": {}, \
              \"query_cache_hits\": {}, \"query_cache_misses\": {}, \
              \"snapshot_rebuilds\": {}}},\n    ",
-            cell.io_model,
             cell.read_plane,
             cell.p99_ns,
-            cell.io_model,
             cell.read_plane,
             cell.frames,
             cell.payloads_per_sec,
@@ -617,17 +565,10 @@ fn run_query_matrix(test_mode: bool, frames_override: Option<u64>) {
             cell.snapshot_rebuilds,
         ));
     }
-    for (i, (io_label, speedup)) in speedups.iter().enumerate() {
-        let sep = if i + 1 < speedups.len() {
-            ",\n    "
-        } else {
-            ""
-        };
-        rows.push_str(&format!(
-            "{{\"id\": \"query/{io_label}/p99-speedup\", \"ns_per_iter\": {speedup:.2}, \
-             \"io_model\": \"{io_label}\", \"verified\": \"bit-identical\"}}{sep}"
-        ));
-    }
+    rows.push_str(&format!(
+        "{{\"id\": \"query/p99-speedup\", \"ns_per_iter\": {speedup:.2}, \
+         \"verified\": \"bit-identical\"}}"
+    ));
     let out = format!(
         "{{\n  \"bench\": \"server_query\",\n  \"unit\": \"ns_per_iter\",\n  \"results\": [\n    {rows}\n  ]\n}}\n"
     );

@@ -38,40 +38,32 @@
 //! * Corrupt payloads are rejected per frame (framing intact, stream
 //!   continues); corrupt framing or a cut connection drops only that
 //!   agent's connection. Neither touches tenant state.
-//! * [`ServerConfig::max_connections`] caps concurrent connections in
-//!   both I/O models; over-cap accepts get a protocol-level
+//! * [`ServerConfig::max_connections`] caps concurrent connections;
+//!   over-cap accepts get a protocol-level
 //!   `-ERR server at connection capacity` line before the close.
 //!
 //! ## Concurrency model: the I/O plane
 //!
-//! Shard workers, checkpointing, and shutdown are identical in both
-//! models; [`ServerConfig::io_model`] selects only how sockets are
-//! driven:
+//! One readiness event loop (`epoll` on Linux, `poll(2)` on other
+//! POSIX systems; no external crates) owns the listener and every agent
+//! and query socket on a single thread. Each connection is an explicit
+//! resumable state machine (handshake → ingest | query) that advances
+//! exactly as far as its socket allows, with fairness budgets so one
+//! hot socket cannot starve the rest. No thread ever parks on a socket:
+//! a full staging queue *suspends* the connection — its fd is
+//! deregistered until the shard worker's pop wakes it back up (one
+//! waiter per freed slot, with a periodic sweep as the lost-wakeup
+//! backstop) — so backpressure still reaches agents through TCP while
+//! the loop keeps serving everyone else. Shard workers absorb staged
+//! frames on their own threads.
 //!
-//! * [`IoModel::Threaded`] — one blocking thread per connection. Reads
-//!   run with a short timeout, and the frame reader's lossless
-//!   `WouldBlock` resume lets every thread poll the shutdown flag
-//!   between bytes without tearing a frame. A full staging queue parks
-//!   the connection thread on a condvar. Simple, debuggable, and the
-//!   only model on non-Unix targets — but each idle agent pins a
-//!   thread stack.
-//! * [`IoModel::Reactor`] (default on Unix) — a readiness event loop
-//!   (`epoll` on Linux, `poll(2)` elsewhere; no external crates) owns
-//!   every agent and query socket on one thread
-//!   ([`ServerConfig::reactor_threads`] can raise that; accepted
-//!   connections are handed off round-robin). Each connection is an
-//!   explicit resumable state machine (handshake → ingest | query)
-//!   that advances exactly as far as its socket allows, with fairness
-//!   budgets so one hot socket cannot starve the rest. No thread ever
-//!   parks on a socket: a full staging queue *suspends* the connection
-//!   — its fd is deregistered until the shard worker's pop wakes it
-//!   back up (one waiter per freed slot, with a periodic sweep as the
-//!   lost-wakeup backstop) — so backpressure still reaches agents
-//!   through TCP while the loop keeps serving everyone else.
-//!
-//! `STATS` exposes the difference: `open_connections`, per-shard
+//! `STATS` exposes the plane's state: `open_connections`, per-shard
 //! `staging_depth`, `ingest_suspensions`, and reactor wakeup/event
 //! counters ([`StatsSnapshot`]).
+//!
+//! The reactor needs POSIX sockets and readiness calls. The crate
+//! builds on other targets, where the client side works and
+//! [`ServerHandle::spawn`] returns an error.
 //!
 //! ## Read plane
 //!
@@ -191,5 +183,5 @@ pub use client::QueryClient;
 pub use error::ServerError;
 pub use net::{Bind, Endpoint};
 pub use protocol::{valid_name, MAX_LINE, MAX_NAME};
-pub use server::{IoModel, ReadPlane, ServerConfig, ServerHandle};
+pub use server::{ReadPlane, ServerConfig, ServerHandle};
 pub use state::{StatsSnapshot, TenantStats};

@@ -10,7 +10,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Where to bind a server.
 #[derive(Debug, Clone)]
@@ -121,9 +120,9 @@ impl Listener {
         }
     }
 
-    /// Accept one connection (blocking unless the listener is in
-    /// nonblocking mode, in which case `WouldBlock` means "no pending
-    /// connection right now").
+    /// Accept one connection. The reactor runs the listener in
+    /// nonblocking mode, where `WouldBlock` means "no pending
+    /// connection right now".
     pub(crate) fn accept(&self) -> io::Result<Conn> {
         match self {
             Listener::Tcp(l) => {
@@ -140,8 +139,8 @@ impl Listener {
     }
 
     /// Switch the listener between blocking and nonblocking accepts —
-    /// the reactor registers the listener for readiness instead of
-    /// dedicating an accept thread.
+    /// the reactor registers the listener for readiness and accepts
+    /// only when it is ready.
     pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
             Listener::Tcp(l) => l.set_nonblocking(nonblocking),
@@ -172,18 +171,6 @@ pub(crate) enum Conn {
 }
 
 impl Conn {
-    /// Set (or clear) the read timeout. With a timeout set, stalled
-    /// reads raise `WouldBlock`/`TimedOut`, which the frame reader
-    /// surfaces as the retryable [`ddsketch::SketchError::WouldBlock`] —
-    /// the tick that lets server threads poll their shutdown flag.
-    pub(crate) fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(timeout),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(timeout),
-        }
-    }
-
     /// Half-close the write side, signalling clean end-of-stream to the
     /// peer while keeping the read side open.
     pub(crate) fn shutdown_write(&self) -> io::Result<()> {

@@ -1,5 +1,5 @@
-//! Per-connection state machines for the reactor: the nonblocking
-//! re-expression of `handle_conn`/`handle_ingest`/`handle_query`.
+//! Per-connection state machines for the reactor: the handshake, then
+//! either an ingest frame stream or a query line session.
 //!
 //! A machine owns its socket (read side wrapped in a [`BufReader`] so
 //! varint-by-varint decoding costs one syscall per ~16 KiB, not one
@@ -126,8 +126,7 @@ impl<S: Read + Write> ConnMachine<S> {
     }
 
     /// Whether the machine is mid-ingest — used at loop teardown to
-    /// count force-closed agent streams as unclean disconnects, like
-    /// the threaded model's shutdown tick does.
+    /// count force-closed agent streams as unclean disconnects.
     pub(crate) fn is_ingest(&self) -> bool {
         matches!(self.phase, Phase::Ingest(_))
     }
@@ -330,17 +329,17 @@ impl<S: Read + Write> ConnMachine<S> {
     ) -> Control {
         *lines += 1;
         // `execute_line` routes through the answer cache and the read
-        // snapshots exactly as the threaded handler does; `self.out` may
-        // hold earlier batched responses, which it appends after.
+        // snapshots; `self.out` may hold earlier batched responses,
+        // which it appends after.
         if !execute_line(inner, line, &mut self.out) {
             self.close_after_flush = true;
         }
         Control::Continue
     }
 
-    /// Envelope decode + admission for one newly read frame, mirroring
-    /// the threaded `handle_ingest` body (reject corrupt/incompatible
-    /// payloads before staging; intact framing lets the stream go on).
+    /// Envelope decode + admission for one newly read frame: corrupt or
+    /// incompatible payloads are rejected before staging, and intact
+    /// framing lets the stream go on.
     fn ingest_frame(&self, inner: &ServerInner, ing: &mut IngestPhase) -> IngestOutcome {
         match decode_envelope(&ing.frame) {
             Ok((metric, ts_secs, payload_bytes)) => {

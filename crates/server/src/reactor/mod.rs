@@ -1,18 +1,15 @@
-//! The event-driven I/O plane: N event-loop threads (default 1) own
-//! every agent and query socket, replacing thread-per-connection with
-//! readiness dispatch over a [`sys::ReadinessSource`] (epoll on Linux,
-//! `poll(2)` elsewhere).
+//! The server's I/O plane: one event-loop thread owns the listener and
+//! every agent and query socket, dispatching on readiness from a
+//! [`sys::ReadinessSource`] (epoll on Linux, `poll(2)` elsewhere).
 //!
-//! ## Anatomy of a loop
+//! ## Anatomy of the loop
 //!
 //! * **Token 0** — the self-waker: the read end of a nonblocking
 //!   `UnixStream` pair. Other threads (shard workers via
-//!   [`state::ShardWaker`], peer loops handing off accepted sockets,
-//!   [`crate::ServerHandle::shutdown`]) write one byte to interrupt
-//!   the wait.
-//! * **Token 1** — the listener (loop 0 only): accepted connections
-//!   are admitted against `max_connections`, then round-robined across
-//!   loops; remote loops receive them via a mailbox + wake.
+//!   [`crate::state::ShardWaker`], [`crate::ServerHandle::shutdown`]) write
+//!   one byte to interrupt the wait.
+//! * **Token 1** — the listener: accepted connections are admitted
+//!   against `max_connections`, then adopted into the slab.
 //! * **Tokens ≥ 2** — connection slots in a slab, each holding a
 //!   [`machine::ConnMachine`] plus its registered interest.
 //!
@@ -63,12 +60,11 @@ const TOKEN_BASE: usize = 2;
 /// this fires).
 const TICK_MS: i32 = 100;
 
-/// Cross-thread face of one event loop: the waker plus the mailbox of
-/// handed-off connections and resumable tokens.
+/// Cross-thread face of the event loop: the waker plus the mailbox of
+/// resumable tokens.
 #[derive(Debug)]
 pub(crate) struct ReactorShared {
     wake_tx: UnixStream,
-    inbox: Mutex<Vec<Conn>>,
     resumed: Mutex<Vec<usize>>,
 }
 
@@ -77,11 +73,6 @@ impl ReactorShared {
     /// the pipe is full the loop is already overdue to wake.
     pub(crate) fn wake(&self) {
         let _ = (&self.wake_tx).write(&[1u8]);
-    }
-
-    fn hand_off(&self, conn: Conn) {
-        lock(&self.inbox).push(conn);
-        self.wake();
     }
 }
 
@@ -118,10 +109,6 @@ pub(crate) struct EventLoop {
     entries: Vec<Option<ConnEntry>>,
     free: Vec<usize>,
     backlog: VecDeque<usize>,
-    /// All loops (self included) for round-robin accept hand-off.
-    peers: Vec<Arc<ReactorShared>>,
-    index: usize,
-    next_peer: usize,
     /// Last time `sweep_suspended` ran — kept on a timer rather than
     /// tied to idle turns, so steady query traffic can't postpone the
     /// sweep indefinitely.
@@ -135,8 +122,6 @@ impl EventLoop {
         shared: Arc<ReactorShared>,
         wake_rx: UnixStream,
         listener: Option<Listener>,
-        peers: Vec<Arc<ReactorShared>>,
-        index: usize,
     ) -> io::Result<Self> {
         wake_rx.set_nonblocking(true)?;
         poller.register(wake_rx.as_raw_fd(), TOKEN_WAKER, READABLE)?;
@@ -153,9 +138,6 @@ impl EventLoop {
             entries: Vec::new(),
             free: Vec::new(),
             backlog: VecDeque::new(),
-            peers,
-            index,
-            next_peer: index,
             last_sweep: Instant::now(),
         })
     }
@@ -194,10 +176,10 @@ impl EventLoop {
                 token => self.dispatch(token),
             }
         }
-        // Mailboxes are drained every turn, not only on waker events:
-        // wake bytes coalesce, and a missed handoff would otherwise
-        // wait out a full tick.
-        self.drain_mailboxes();
+        // The resumed mailbox is drained every turn, not only on waker
+        // events: wake bytes coalesce, and a missed resume would
+        // otherwise wait out a full tick.
+        self.drain_resumed();
         let scheduled: Vec<usize> = self.backlog.drain(..).collect();
         for token in scheduled {
             self.dispatch(token);
@@ -217,16 +199,7 @@ impl EventLoop {
         }
     }
 
-    fn drain_mailboxes(&mut self) {
-        let inbox = { std::mem::take(&mut *lock(&self.shared.inbox)) };
-        for conn in inbox {
-            if self.insert_conn(conn).is_err() {
-                self.inner
-                    .stats
-                    .open_connections
-                    .fetch_sub(1, Ordering::Relaxed);
-            }
-        }
+    fn drain_resumed(&mut self) {
         let resumed = { std::mem::take(&mut *lock(&self.shared.resumed)) };
         for token in resumed {
             self.resume(token);
@@ -251,17 +224,11 @@ impl EventLoop {
                     }
                     Stats::add(&self.inner.stats.connections_total, 1);
                     Stats::add(&self.inner.stats.open_connections, 1);
-                    let target = self.next_peer;
-                    self.next_peer = (self.next_peer + 1) % self.peers.len();
-                    if target == self.index {
-                        if self.insert_conn(conn).is_err() {
-                            self.inner
-                                .stats
-                                .open_connections
-                                .fetch_sub(1, Ordering::Relaxed);
-                        }
-                    } else {
-                        self.peers[target].hand_off(conn);
+                    if self.insert_conn(conn).is_err() {
+                        self.inner
+                            .stats
+                            .open_connections
+                            .fetch_sub(1, Ordering::Relaxed);
                     }
                 }
                 Err(e) if is_retryable(&e) => return,
@@ -412,8 +379,7 @@ impl EventLoop {
     }
 
     /// Shutdown teardown: flush what we can, account force-closed
-    /// ingest streams as unclean disconnects (threaded parity), and
-    /// release every slot.
+    /// ingest streams as unclean disconnects, and release every slot.
     fn teardown(&mut self) {
         for slot in 0..self.entries.len() {
             let Some(entry) = self.entries[slot].as_mut() else {
@@ -435,63 +401,41 @@ fn reject(mut conn: Conn) {
     let _ = conn.shutdown_write();
 }
 
-/// The running reactor: join handles plus each loop's waker.
+/// The running reactor: the loop's join handle plus its waker.
 pub(crate) struct ReactorHandle {
-    threads: Vec<JoinHandle<()>>,
-    shareds: Vec<Arc<ReactorShared>>,
+    thread: JoinHandle<()>,
+    shared: Arc<ReactorShared>,
 }
 
 impl ReactorHandle {
-    /// Wake every loop (they observe the shutdown flag on wake).
-    pub(crate) fn wake_all(&self) {
-        for shared in &self.shareds {
-            shared.wake();
-        }
-    }
-
-    pub(crate) fn join(mut self) {
-        self.wake_all();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
+    /// Wake the loop (it observes the shutdown flag on wake) and wait
+    /// for it to tear down every connection.
+    pub(crate) fn join(self) {
+        self.shared.wake();
+        let _ = self.thread.join();
     }
 }
 
-/// Spawn `config.reactor_threads` event loops; loop 0 owns the
-/// listener and deals accepted connections round-robin.
+/// Spawn the event loop that owns `listener` and every connection it
+/// accepts.
 pub(crate) fn spawn(inner: &Arc<ServerInner>, listener: Listener) -> io::Result<ReactorHandle> {
-    let n = inner.config.reactor_threads.max(1);
-    let mut shareds = Vec::with_capacity(n);
-    let mut rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = UnixStream::pair()?;
-        tx.set_nonblocking(true)?;
-        shareds.push(Arc::new(ReactorShared {
-            wake_tx: tx,
-            inbox: Mutex::new(Vec::new()),
-            resumed: Mutex::new(Vec::new()),
-        }));
-        rxs.push(rx);
-    }
-    let mut listener = Some(listener);
-    let mut threads = Vec::with_capacity(n);
-    for (index, rx) in rxs.into_iter().enumerate() {
-        let mut event_loop = EventLoop::new(
-            inner.clone(),
-            sys::default_source()?,
-            shareds[index].clone(),
-            rx,
-            if index == 0 { listener.take() } else { None },
-            shareds.clone(),
-            index,
-        )?;
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("sketchd-reactor-{index}"))
-                .spawn(move || event_loop.run())?,
-        );
-    }
-    Ok(ReactorHandle { threads, shareds })
+    let (wake_tx, wake_rx) = UnixStream::pair()?;
+    wake_tx.set_nonblocking(true)?;
+    let shared = Arc::new(ReactorShared {
+        wake_tx,
+        resumed: Mutex::new(Vec::new()),
+    });
+    let mut event_loop = EventLoop::new(
+        inner.clone(),
+        sys::default_source()?,
+        shared.clone(),
+        wake_rx,
+        Some(listener),
+    )?;
+    let thread = std::thread::Builder::new()
+        .name("sketchd-reactor".into())
+        .spawn(move || event_loop.run())?;
+    Ok(ReactorHandle { thread, shared })
 }
 
 #[cfg(test)]

@@ -474,17 +474,14 @@ fn loop_fixture(cfg: ServerConfig) -> LoopFixture {
     wake_tx.set_nonblocking(true).unwrap();
     let shared = Arc::new(ReactorShared {
         wake_tx,
-        inbox: Mutex::new(Vec::new()),
         resumed: Mutex::new(Vec::new()),
     });
     let mut event_loop = EventLoop::new(
         inner.clone(),
         Box::new(source.clone()),
-        shared.clone(),
+        shared,
         wake_rx,
         None,
-        vec![shared],
-        0,
     )
     .unwrap();
     let (local, peer) = UnixStream::pair().unwrap();
@@ -626,7 +623,7 @@ fn loop_teardown_flushes_and_counts_open_ingest_streams() {
     let mut events = Vec::new();
     assert!(fx.event_loop.turn(&mut events).unwrap());
     // Shutdown: the next turn observes the flag; run() tears down —
-    // mid-stream ingest counts as unclean, threaded parity.
+    // mid-stream ingest counts as unclean.
     fx.inner.shutdown.store(true, Ordering::SeqCst);
     fx.event_loop.run();
     let stats = fx.inner.stats_snapshot();

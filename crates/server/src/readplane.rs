@@ -198,7 +198,7 @@ pub(crate) fn cacheable(line: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{Job, JobPayload, ShardState, Stats};
+    use crate::state::{Job, JobPayload, ShardState, Stats, TryPush};
     use ddsketch::{SketchConfig, SketchPayload, WeightedSketchPayload};
     use proptest::prelude::*;
 
@@ -220,7 +220,7 @@ mod tests {
 
     /// Drive one shard exactly like a worker would: stage, pop, absorb
     /// under the state lock, publish the epoch, complete.
-    fn absorb(tenant: &Tenant, stats: &Stats, metric: &str, frame: &[u8], weighted: bool) {
+    fn absorb(tenant: &Tenant, metric: &str, frame: &[u8], weighted: bool) {
         let shard = tenant.shard_for(metric).clone();
         let payload = if weighted {
             let mut p = WeightedSketchPayload::default();
@@ -231,16 +231,12 @@ mod tests {
             p.decode_into(frame).unwrap();
             JobPayload::Integer(p)
         };
-        shard
-            .push(
-                Job {
-                    metric: metric.to_string(),
-                    ts_secs: 0,
-                    payload,
-                },
-                stats,
-            )
-            .unwrap();
+        let job = Job {
+            metric: metric.to_string(),
+            ts_secs: 0,
+            payload,
+        };
+        assert!(matches!(shard.try_push(job), TryPush::Stored(_)));
         let job = shard.pop().unwrap();
         let mut state = lock(&shard.state);
         match job.payload {
@@ -297,14 +293,14 @@ mod tests {
                         0 => {
                             let values: Vec<f64> =
                                 (1..=len).map(|i| (seed * i) as f64 * 0.37).collect();
-                            absorb(&tenant, &stats, "m", &integer_frame(config, &values), false);
+                            absorb(&tenant, "m", &integer_frame(config, &values), false);
                         }
                         // Feed a weighted frame.
                         1 => {
                             let entries: Vec<(f64, f64)> = (1..=len)
                                 .map(|i| ((seed * i) as f64 * 0.61, 0.5 + seed as f64))
                                 .collect();
-                            absorb(&tenant, &stats, "m", &weighted_frame(config, &entries), true);
+                            absorb(&tenant, "m", &weighted_frame(config, &entries), true);
                         }
                         // Explicit fold under the lock (publishes).
                         2 => {
@@ -368,7 +364,6 @@ mod tests {
         let shard = &tenant.shards[0];
         absorb(
             &tenant,
-            &stats,
             "m",
             &integer_frame(config, &[1.0, 2.0, 3.0]),
             false,
@@ -385,7 +380,7 @@ mod tests {
             .load(std::sync::atomic::Ordering::Relaxed);
         assert_eq!(rebuilds, 1);
         // New data on a quiesced shard invalidates: next read rebuilds.
-        absorb(&tenant, &stats, "m", &integer_frame(config, &[4.0]), false);
+        absorb(&tenant, "m", &integer_frame(config, &[4.0]), false);
         let third = shard.read_snapshot(&stats);
         assert_eq!(third.count, 4);
         assert!(!Arc::ptr_eq(&first, &third));
@@ -413,13 +408,7 @@ mod tests {
         let config = SketchConfig::dense_collapsing(0.01, 128);
         let stats = Stats::default();
         let tenant = Arc::new(Tenant::new("t", config, 2, 64, 4, 10).unwrap());
-        absorb(
-            &tenant,
-            &stats,
-            "m",
-            &integer_frame(config, &[1.0, 2.0]),
-            false,
-        );
+        absorb(&tenant, "m", &integer_frame(config, &[1.0, 2.0]), false);
         let cache = QueryCache::default();
         let mut out = Vec::new();
 
@@ -446,7 +435,7 @@ mod tests {
         assert_eq!(out, b"+OK 2\n");
 
         // New data on the (now quiesced) owning shard: entry goes stale.
-        absorb(&tenant, &stats, "m", &integer_frame(config, &[3.0]), false);
+        absorb(&tenant, "m", &integer_frame(config, &[3.0]), false);
         out.clear();
         assert!(!cache.serve("COUNT t", &mut out, &stats));
         assert!(out.is_empty());

@@ -1,37 +1,35 @@
-//! The `sketchd` server proper: accept loop, ingest and query
-//! connection handlers, shard workers, the checkpointer, and graceful
-//! shutdown.
+//! The `sketchd` server proper: spawn and shutdown, shard workers, the
+//! query executor, and the periodic sweepers.
 //!
 //! ## Thread model
 //!
-//! * **accept thread** — blocks in `accept`, spawns one connection
-//!   thread per peer.
-//! * **connection threads** — read the handshake line, then either pump
-//!   an ingest frame stream (decode → route → stage) or answer query
-//!   commands. All reads run with a short timeout; the resulting
-//!   `WouldBlock` ticks are where the thread polls the shutdown flag,
-//!   riding the frame reader's lossless-resume guarantee.
+//! * **reactor** — one event-loop thread owns the listener and every
+//!   agent and query socket (see the `reactor` module): it decodes and
+//!   stages ingest frames and answers query lines without ever parking
+//!   on a socket or a staging queue.
 //! * **shard workers** — one per (tenant, shard): pop staged jobs and
 //!   absorb them into the shard's aggregator + time-series store under
 //!   the shard's state lock.
 //! * **checkpointer** — optional: periodically snapshots every shard's
 //!   store to `{tenant}@{shard}.ddts` (tmp + rename, so a crash
 //!   mid-write never clobbers the previous good checkpoint).
+//! * **retention sweeper** — optional: evicts windowed-store cells
+//!   older than [`ServerConfig::retention`].
 //!
 //! Shutdown ([`ServerHandle::shutdown`]) is ordered so that no accepted
-//! frame is lost: stop accepting → connection threads exit at their
-//! next tick → staging queues close and workers drain the backlog →
-//! one final checkpoint sweep.
+//! frame is lost: the reactor stops and closes every connection →
+//! staging queues close and workers drain the backlog → one final
+//! checkpoint sweep.
 
 use std::fs;
-use std::io::{self, ErrorKind, Write};
+use std::io::{self, ErrorKind};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ddsketch::codec::{FrameReader, SketchView, DEFAULT_MAX_FRAME_LEN};
+use ddsketch::codec::{SketchView, DEFAULT_MAX_FRAME_LEN};
 use ddsketch::{
     AnyDDSketch, AnyWeightedDDSketch, SketchConfig, SketchError, SketchPayload,
     WeightedSketchPayload,
@@ -39,35 +37,12 @@ use ddsketch::{
 use pipeline::TimeSeriesStore;
 
 use crate::error::ServerError;
-use crate::net::{Bind, Conn, Endpoint, Listener};
-use crate::protocol::{decode_envelope, fmt_f64, parse_command, valid_name, Command, LineReader};
+use crate::net::{Bind, Endpoint, Listener};
+use crate::protocol::{fmt_f64, parse_command, valid_name, Command};
 use crate::readplane::{cacheable, CacheFill, CacheScope, QueryCache, ShardSnapshot};
 use crate::state::{
     lock, Job, JobPayload, Registry, Shard, ShardState, Stats, StatsSnapshot, Tenant, TenantStats,
 };
-
-/// Which I/O plane serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// One OS thread per connection, blocking reads with a poll-tick
-    /// timeout. Simple, portable, and competitive at small fleets.
-    Threaded,
-    /// A readiness-driven event loop (epoll on Linux, `poll(2)` on
-    /// other POSIX) multiplexing every socket over
-    /// [`ServerConfig::reactor_threads`] threads. No per-connection
-    /// threads, no timeout churn — the fleet-scale default on Linux.
-    Reactor,
-}
-
-impl Default for IoModel {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            IoModel::Reactor
-        } else {
-            IoModel::Threaded
-        }
-    }
-}
 
 /// How queries read tenant state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,13 +72,10 @@ pub struct ServerConfig {
     pub fold_threshold: usize,
     /// Shards per tenant; each metric is owned by exactly one shard.
     pub shards_per_tenant: usize,
-    /// Staging-queue bound per shard — the backpressure knob. A full
-    /// queue blocks the pushing connection thread, which stops reading
-    /// its socket, which throttles the agent via TCP.
+    /// Staging-queue bound per shard — the backpressure knob. A frame
+    /// that finds its queue full suspends the sending connection, which
+    /// stops reading its socket, which throttles the agent via TCP.
     pub staging_bound: usize,
-    /// Read timeout on every server-side socket: the poll tick at which
-    /// blocked reads recheck the shutdown flag.
-    pub read_timeout: Duration,
     /// Hostile-length clamp for inbound frames.
     pub max_frame_len: usize,
     /// Where checkpoints live. `None` disables checkpointing (the
@@ -112,16 +84,10 @@ pub struct ServerConfig {
     /// Interval between periodic checkpoint sweeps; `None` means only
     /// on-demand (`CHECKPOINT`) and final (shutdown) sweeps run.
     pub checkpoint_interval: Option<Duration>,
-    /// Which I/O plane serves connections (see [`IoModel`]).
-    pub io_model: IoModel,
     /// Cap on simultaneously open connections. Arrivals past the cap
     /// get a best-effort `-ERR server at connection capacity` line and
-    /// are dropped, under both I/O models.
+    /// are dropped.
     pub max_connections: usize,
-    /// Event-loop threads under [`IoModel::Reactor`] (clamped to ≥ 1).
-    /// One loop comfortably saturates the shard workers; raise it only
-    /// when profiles show the I/O plane itself is the bottleneck.
-    pub reactor_threads: usize,
     /// How queries read tenant state (see [`ReadPlane`]).
     pub read_plane: ReadPlane,
     /// TTL retention: windowed-store cells whose window ended more than
@@ -144,13 +110,10 @@ impl Default for ServerConfig {
             fold_threshold: 32,
             shards_per_tenant: 4,
             staging_bound: 256,
-            read_timeout: Duration::from_millis(50),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             checkpoint_dir: None,
             checkpoint_interval: None,
-            io_model: IoModel::default(),
             max_connections: 1024,
-            reactor_threads: 1,
             read_plane: ReadPlane::default(),
             retention: None,
             snapshot_refresh: 64,
@@ -165,7 +128,6 @@ pub(crate) struct ServerInner {
     pub(crate) shutdown: AtomicBool,
     pub(crate) endpoint: Endpoint,
     pub(crate) shard_workers: Mutex<Vec<JoinHandle<()>>>,
-    pub(crate) conn_threads: Mutex<Vec<JoinHandle<()>>>,
     /// Wakes the periodic sweepers (checkpointer, retention) out of
     /// their interval waits — on demand (`CHECKPOINT`) and at shutdown.
     pub(crate) sweep_wake: (Mutex<()>, Condvar),
@@ -202,7 +164,6 @@ impl ServerInner {
 /// observe errors and the final stats).
 pub struct ServerHandle {
     inner: Arc<ServerInner>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
     #[cfg(unix)]
     reactor: Mutex<Option<crate::reactor::ReactorHandle>>,
     checkpoint_thread: Mutex<Option<JoinHandle<()>>>,
@@ -212,8 +173,14 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// Bind `bind`, restore any checkpoints found in the configured
-    /// checkpoint directory, and start serving.
+    /// checkpoint directory, and start serving. Sockets are served by a
+    /// readiness reactor, so non-POSIX targets get an error.
     pub fn spawn(bind: &Bind, config: ServerConfig) -> Result<Self, ServerError> {
+        if cfg!(not(unix)) {
+            return Err(ServerError::Protocol(
+                "sketchd requires a POSIX platform".into(),
+            ));
+        }
         if config.shards_per_tenant == 0 {
             return Err(ServerError::Protocol(
                 "shards_per_tenant must be > 0".into(),
@@ -228,32 +195,14 @@ impl ServerHandle {
             shutdown: AtomicBool::new(false),
             endpoint,
             shard_workers: Mutex::new(Vec::new()),
-            conn_threads: Mutex::new(Vec::new()),
             sweep_wake: (Mutex::new(()), Condvar::new()),
             query_cache: QueryCache::default(),
         });
         restore_checkpoints(&inner)?;
-        let mut accept = None;
         #[cfg(unix)]
-        let mut reactor = None;
-        match inner.config.io_model {
-            IoModel::Threaded => {
-                let inner = inner.clone();
-                accept = Some(std::thread::spawn(move || accept_loop(&inner, &listener)));
-            }
-            IoModel::Reactor => {
-                #[cfg(unix)]
-                {
-                    reactor = Some(crate::reactor::spawn(&inner, listener)?);
-                }
-                #[cfg(not(unix))]
-                {
-                    return Err(ServerError::Protocol(
-                        "io_model: Reactor requires a POSIX platform".into(),
-                    ));
-                }
-            }
-        }
+        let reactor = crate::reactor::spawn(&inner, listener)?;
+        #[cfg(not(unix))]
+        drop(listener);
         let checkpointer = inner.config.checkpoint_interval.map(|interval| {
             let inner = inner.clone();
             std::thread::spawn(move || checkpoint_loop(&inner, interval))
@@ -264,9 +213,8 @@ impl ServerHandle {
         });
         Ok(Self {
             inner,
-            accept_thread: Mutex::new(accept),
             #[cfg(unix)]
-            reactor: Mutex::new(reactor),
+            reactor: Mutex::new(Some(reactor)),
             checkpoint_thread: Mutex::new(checkpointer),
             retention_thread: Mutex::new(retainer),
             done: AtomicBool::new(false),
@@ -292,29 +240,19 @@ impl ServerHandle {
         self.inner.shutting_down()
     }
 
-    /// Gracefully shut the server down: stop accepting, let connection
-    /// threads exit, drain every staging queue, run one final
-    /// checkpoint sweep, and join every thread. Idempotent; returns
-    /// the final stats.
+    /// Gracefully shut the server down: stop the reactor (closing every
+    /// connection), drain every staging queue, run one final checkpoint
+    /// sweep, and join every thread. Idempotent; returns the final
+    /// stats.
     pub fn shutdown(&self) -> Result<StatsSnapshot, ServerError> {
         if self.done.swap(true, Ordering::AcqRel) {
             return Ok(self.inner.stats_snapshot());
         }
         self.inner.shutdown.store(true, Ordering::Release);
-        // Reactor loops observe the flag as soon as their waker fires.
+        // The reactor observes the flag as soon as its waker fires.
         #[cfg(unix)]
         if let Some(reactor) = lock(&self.reactor).take() {
             reactor.join();
-        }
-        // Unblock a threaded accept loop with a throwaway connection;
-        // it checks the flag on every wakeup.
-        if let Some(handle) = lock(&self.accept_thread).take() {
-            let _ = self.inner.endpoint.connect();
-            let _ = handle.join();
-        }
-        // Connection threads notice the flag at their next read tick.
-        for handle in lock(&self.inner.conn_threads).drain(..) {
-            let _ = handle.join();
         }
         // Close staging: workers drain the remaining backlog, then exit
         // — accepted frames are never dropped.
@@ -406,7 +344,7 @@ fn worker_loop(inner: &ServerInner, tenant: &Tenant, shard: &Shard) {
         let spare = match payload {
             // Integer frames feed both exact-plane sinks from the one
             // decode. Both run the same admission predicate as the
-            // connection thread's pre-check, so neither can fail here —
+            // reactor's pre-check, so neither can fail here —
             // but a failure must still leave agg and store consistent:
             // skip both.
             JobPayload::Integer(payload) => {
@@ -457,161 +395,15 @@ fn worker_loop(inner: &ServerInner, tenant: &Tenant, shard: &Shard) {
     }
 }
 
-fn accept_loop(inner: &Arc<ServerInner>, listener: &Listener) {
-    loop {
-        match listener.accept() {
-            Ok(mut conn) => {
-                if inner.shutting_down() {
-                    return;
-                }
-                let open = inner.stats.open_connections.load(Ordering::Relaxed);
-                if open >= inner.config.max_connections as u64 {
-                    // Protocol-level reject instead of an unbounded
-                    // thread spawn; best-effort so a dead peer can't
-                    // stall the accept loop.
-                    let _ = conn.write_all(b"-ERR server at connection capacity\n");
-                    let _ = conn.shutdown_write();
-                    Stats::add(&inner.stats.connections_rejected, 1);
-                    continue;
-                }
-                Stats::add(&inner.stats.connections_total, 1);
-                Stats::add(&inner.stats.open_connections, 1);
-                let inner2 = inner.clone();
-                let handle = std::thread::spawn(move || handle_conn(&inner2, conn));
-                lock(&inner.conn_threads).push(handle);
-            }
-            Err(_) if inner.shutting_down() => return,
-            Err(_) => continue,
-        }
-    }
-}
-
-/// Decrements `open_connections` even if the handler panics.
-struct ActiveGuard<'a>(&'a Stats);
-
-impl Drop for ActiveGuard<'_> {
-    fn drop(&mut self) {
-        self.0.open_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 pub(crate) fn is_retryable(e: &io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-}
-
-fn handle_conn(inner: &Arc<ServerInner>, mut conn: Conn) {
-    // `open_connections` was counted by the accept loop (it enforces
-    // `max_connections` before spawning); the guard pairs with that.
-    let _guard = ActiveGuard(&inner.stats);
-    if conn
-        .set_read_timeout(Some(inner.config.read_timeout))
-        .is_err()
-    {
-        return;
-    }
-    let mut lines = LineReader::new();
-    let first = loop {
-        match lines.poll_line(&mut conn) {
-            Ok(Some(line)) => break line,
-            Ok(None) => return,
-            Err(e) if is_retryable(&e) => {
-                if inner.shutting_down() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    };
-    if let Some(tenant_name) = first.strip_prefix("INGEST ") {
-        handle_ingest(inner, conn, tenant_name.trim());
-    } else {
-        handle_query(inner, conn, first);
-    }
-}
-
-/// Pump one agent's frame stream into its tenant's shards.
-fn handle_ingest(inner: &Arc<ServerInner>, conn: Conn, tenant_name: &str) {
-    if !valid_name(tenant_name) {
-        Stats::add(&inner.stats.ingest_disconnects, 1);
-        return;
-    }
-    let Ok(tenant) = tenant(inner, tenant_name) else {
-        Stats::add(&inner.stats.ingest_disconnects, 1);
-        return;
-    };
-    let mut reader = FrameReader::lazy_with_max_frame_len(conn, inner.config.max_frame_len);
-    let mut frame = Vec::new();
-    let mut spare_payload = SketchPayload::default();
-    let mut spare_weighted = WeightedSketchPayload::default();
-    let mut spare_metric = String::new();
-    let clean = loop {
-        match reader.read_frame(&mut frame) {
-            Ok(Some(_)) => {}
-            // Clean `DDSF` end-of-stream terminator.
-            Ok(None) => break true,
-            Err(SketchError::WouldBlock) => {
-                if inner.shutting_down() {
-                    break false;
-                }
-                continue;
-            }
-            // Framing is unrecoverable after a corrupt length or a cut
-            // connection: drop the stream; the agent reconnects.
-            Err(_) => {
-                Stats::add(&inner.stats.frames_rejected, 1);
-                break false;
-            }
-        }
-        match decode_envelope(&frame) {
-            Ok((metric, ts_secs, payload_bytes)) => {
-                // Reject corrupt or incompatible payloads here, before
-                // staging — a bad frame never reaches tenant state, and
-                // the (intact) framing lets the stream continue. The
-                // magic routes the payload to its count plane.
-                let payload = decode_admitted(
-                    inner,
-                    payload_bytes,
-                    &mut spare_payload,
-                    &mut spare_weighted,
-                );
-                if let Some(payload) = payload {
-                    spare_metric.clear();
-                    spare_metric.push_str(metric);
-                    Stats::add(&inner.stats.bytes_ingested, frame.len() as u64);
-                    let shard = tenant.shard_for(&spare_metric).clone();
-                    let job = Job {
-                        metric: std::mem::take(&mut spare_metric),
-                        ts_secs,
-                        payload,
-                    };
-                    match shard.push(job, &inner.stats) {
-                        Ok((payload, metric)) => {
-                            match payload {
-                                JobPayload::Integer(p) => spare_payload = p,
-                                JobPayload::Weighted(p) => spare_weighted = p,
-                            }
-                            spare_metric = metric;
-                        }
-                        // The shard closed under us: server shutdown.
-                        Err(()) => break false,
-                    }
-                } else {
-                    Stats::add(&inner.stats.frames_rejected, 1);
-                }
-            }
-            Err(_) => Stats::add(&inner.stats.frames_rejected, 1),
-        }
-    };
-    if !clean {
-        Stats::add(&inner.stats.ingest_disconnects, 1);
-    }
 }
 
 /// Decode one envelope payload into the spare buffer of its count plane
 /// (routed by the payload magic) and run the admission predicate.
 /// Returns the staged payload (the spare is `mem::take`n) or `None` if
-/// the frame must be rejected; shared by the threaded handler and the
-/// reactor's ingest machines.
+/// the frame must be rejected. Called by the reactor's ingest machines
+/// for every frame they read.
 pub(crate) fn decode_admitted(
     inner: &ServerInner,
     payload_bytes: &[u8],
@@ -629,33 +421,6 @@ pub(crate) fn decode_admitted(
     }
 }
 
-fn handle_query(inner: &Arc<ServerInner>, mut conn: Conn, first: String) {
-    let mut lines = LineReader::new();
-    let mut pending = Some(first);
-    let mut out = Vec::new();
-    loop {
-        let line = match pending.take() {
-            Some(line) => line,
-            None => match lines.poll_line(&mut conn) {
-                Ok(Some(line)) => line,
-                Ok(None) => return,
-                Err(e) if is_retryable(&e) => {
-                    if inner.shutting_down() {
-                        return;
-                    }
-                    continue;
-                }
-                Err(_) => return,
-            },
-        };
-        out.clear();
-        let keep_going = execute_line(inner, &line, &mut out);
-        if conn.write_all(&out).is_err() || !keep_going {
-            return;
-        }
-    }
-}
-
 fn respond(out: &mut Vec<u8>, line: &str) {
     out.extend_from_slice(line.as_bytes());
     out.push(b'\n');
@@ -663,8 +428,7 @@ fn respond(out: &mut Vec<u8>, line: &str) {
 
 /// Serve one query line, appending the response bytes to `out` (which
 /// may already hold earlier responses — the reactor batches). Shared by
-/// the threaded handler, the reactor's query machines, and
-/// [`ServerHandle::execute`]. Under [`ReadPlane::EpochCached`] the
+/// the reactor's query machines and [`ServerHandle::execute`]. Under [`ReadPlane::EpochCached`] the
 /// answer cache is probed *before* parsing — a hit is served straight
 /// from the entry's rendered bytes, with zero locks held and zero
 /// allocations — and successful answers to cacheable commands are
@@ -1059,7 +823,6 @@ pub(crate) fn test_inner(config: ServerConfig) -> Arc<ServerInner> {
         shutdown: AtomicBool::new(false),
         endpoint: Endpoint::Tcp("127.0.0.1:9".parse().unwrap()),
         shard_workers: Mutex::new(Vec::new()),
-        conn_threads: Mutex::new(Vec::new()),
         sweep_wake: (Mutex::new(()), Condvar::new()),
         query_cache: QueryCache::default(),
     })

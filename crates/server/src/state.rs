@@ -1,5 +1,5 @@
 //! Server-side state: global counters, per-tenant sharded sketch state,
-//! and the bounded staging queues between connection threads and shard
+//! and the bounded staging queues between the reactor and shard
 //! workers.
 //!
 //! ## Sharding
@@ -12,14 +12,16 @@
 //!
 //! ## Backpressure
 //!
-//! Every shard has a bounded staging queue. Connection threads block in
-//! [`Shard::push`] when the queue is full; since an ingest connection
-//! reads nothing further while blocked, the stall propagates to the
-//! agent as TCP backpressure — the server throttles instead of
-//! buffering unboundedly. Payload buffers and metric-name strings are
-//! recycled through the queue in a ping-pong: `push` hands back a spare
-//! pair for the connection's next decode, and workers return spent
-//! buffers via [`Shard::complete`].
+//! Every shard has a bounded staging queue. [`Shard::try_push`] never
+//! blocks: a full queue hands the job back, and the reactor suspends
+//! the ingest connection (registering a [`ShardWaker`] that the next
+//! [`Shard::pop`] fires). A suspended connection reads nothing further,
+//! so the stall propagates to the agent as TCP backpressure — the
+//! server throttles instead of buffering unboundedly. Payload buffers
+//! and metric-name strings are recycled through the queue in a
+//! ping-pong: `try_push` hands back a spare pair for the connection's
+//! next decode, and workers return spent buffers via
+//! [`Shard::complete`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,7 +32,7 @@ use pipeline::{Aggregator, TimeSeriesStore, WeightedAggregator};
 
 use crate::readplane::ShardSnapshot;
 
-/// Lock a mutex, surviving poisoning: a connection thread that panicked
+/// Lock a mutex, surviving poisoning: a thread that panicked
 /// mid-operation must not wedge every other agent of the tenant. All
 /// state mutations behind these locks are transactional (reject-before-
 /// mutate), so the state a panicking thread leaves behind is consistent.
@@ -134,18 +136,16 @@ pub struct StatsSnapshot {
     pub ingest_disconnects: u64,
     /// Query commands answered (including `-ERR` answers).
     pub queries_served: u64,
-    /// Times ingest stalled on a full staging queue — Condvar waits
-    /// under the threaded model, suspensions under the reactor.
+    /// Times ingest stalled on a full staging queue: a frame bounced,
+    /// and its retry after the waker registration bounced too.
     pub backpressure_waits: u64,
-    /// Reactor-only: ingest connections deregistered on a full staging
-    /// queue until the shard worker drained space (a strict subset of
-    /// `backpressure_waits` events, counted once per suspension).
+    /// Ingest connections deregistered on a full staging queue until
+    /// the shard worker drained space, counted once per suspension
+    /// (each one also counts in `backpressure_waits`).
     pub ingest_suspensions: u64,
-    /// Reactor-only: times an event-loop thread returned from its
-    /// readiness wait.
+    /// Times the event loop returned from its readiness wait.
     pub reactor_wakeups: u64,
-    /// Reactor-only: readiness events dispatched to connection state
-    /// machines.
+    /// Readiness events dispatched to connection state machines.
     pub reactor_events: u64,
     /// Checkpoint sweeps completed (periodic, on demand, and final).
     pub checkpoints_completed: u64,
@@ -244,8 +244,7 @@ pub(crate) struct ShardState {
 }
 
 /// Readiness callback for a connection suspended on a full staging
-/// queue — the reactor's nonblocking analogue of the `not_full`
-/// Condvar. Wakes must be cheap, non-blocking, and idempotent; a stale
+/// queue. Wakes must be cheap, non-blocking, and idempotent; a stale
 /// wake (the connection already resumed or died) is harmless.
 pub(crate) trait ShardWaker: Send + Sync + std::fmt::Debug {
     fn wake(&self);
@@ -268,7 +267,7 @@ pub(crate) enum TryPush {
 #[derive(Debug, Default)]
 struct StagingInner {
     queue: VecDeque<Job>,
-    /// Spent decode buffers flowing back to connection threads, one
+    /// Spent decode buffers flowing back to ingest connections, one
     /// pool per count plane.
     spare_payloads: Vec<SketchPayload>,
     spare_weighted: Vec<WeightedSketchPayload>,
@@ -309,7 +308,6 @@ const NO_SNAPSHOT: u64 = u64::MAX;
 #[derive(Debug)]
 pub(crate) struct Shard {
     staging: Mutex<StagingInner>,
-    not_full: Condvar,
     not_empty: Condvar,
     drained: Condvar,
     bound: usize,
@@ -336,7 +334,6 @@ impl Shard {
     fn new(state: ShardState, bound: usize) -> Self {
         Self {
             staging: Mutex::new(StagingInner::default()),
-            not_full: Condvar::new(),
             not_empty: Condvar::new(),
             drained: Condvar::new(),
             bound: bound.max(1),
@@ -438,38 +435,10 @@ impl Shard {
         snap
     }
 
-    /// Stage one job, blocking while the queue is at its bound (the
-    /// backpressure path; `stats` counts the waits). Returns a recycled
-    /// `(payload, metric string)` pair for the caller's next decode —
-    /// or `Err(())` if the shard closed while waiting (server shutdown).
-    pub(crate) fn push(&self, job: Job, stats: &Stats) -> Result<(JobPayload, String), ()> {
-        let weighted = job.payload.is_weighted();
-        let mut inner = lock(&self.staging);
-        while inner.queue.len() >= self.bound && !inner.closed {
-            Stats::add(&stats.backpressure_waits, 1);
-            inner = self
-                .not_full
-                .wait(inner)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        if inner.closed {
-            return Err(());
-        }
-        inner.queue.push_back(job);
-        inner.high_watermark = inner.high_watermark.max(inner.queue.len());
-        self.live.fetch_add(1, Ordering::Relaxed);
-        let spare = (
-            inner.take_spare(weighted),
-            inner.spare_strings.pop().unwrap_or_default(),
-        );
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(spare)
-    }
-
-    /// Nonblocking [`Shard::push`]: stage the job if the queue has room,
-    /// hand it straight back otherwise. The reactor's ingest path — an
-    /// event-loop thread must never park on a Condvar.
+    /// Stage the job if the queue has room, hand it straight back
+    /// otherwise — the event loop must never park on a full queue.
+    /// Returns recycled `(payload, metric string)` buffers of the
+    /// job's count plane for the connection's next decode.
     pub(crate) fn try_push(&self, job: Job) -> TryPush {
         let weighted = job.payload.is_weighted();
         let mut inner = lock(&self.staging);
@@ -531,7 +500,6 @@ impl Shard {
                     Some(inner.waiters.remove(0))
                 };
                 drop(inner);
-                self.not_full.notify_one();
                 if let Some(waker) = waiter {
                     waker.wake();
                 }
@@ -590,7 +558,6 @@ impl Shard {
             inner.closed = true;
             std::mem::take(&mut inner.waiters)
         };
-        self.not_full.notify_all();
         self.not_empty.notify_all();
         for waker in &waiters {
             waker.wake();
@@ -728,49 +695,87 @@ mod tests {
     }
 
     #[test]
-    fn staging_queue_blocks_at_bound_and_recycles() {
+    fn staging_queue_bounces_at_bound_and_recycles() {
         let config = SketchConfig::dense_collapsing(0.01, 128);
         let tenant = Tenant::new("t", config, 1, 2, 4, 10).unwrap();
         let shard = tenant.shards[0].clone();
-        let stats = Arc::new(Stats::default());
 
         let job = |i: u64| Job {
             metric: format!("m{i}"),
             ts_secs: i,
             payload: JobPayload::Integer(SketchPayload::default()),
         };
-        shard.push(job(0), &stats).unwrap();
-        shard.push(job(1), &stats).unwrap();
+        let stored = |outcome: TryPush| match outcome {
+            TryPush::Stored(spare) => spare,
+            other => panic!("expected Stored, got {other:?}"),
+        };
+        stored(shard.try_push(job(0)));
+        stored(shard.try_push(job(1)));
         assert_eq!(shard.depth().0, 2);
 
-        // A third push must block until the worker side pops.
-        let pusher = {
-            let shard = shard.clone();
-            let stats = stats.clone();
-            std::thread::spawn(move || shard.push(job(2), &stats).is_ok())
+        // A third job at the bound comes straight back, untouched.
+        let bounced = match shard.try_push(job(2)) {
+            TryPush::Full(job) => job,
+            other => panic!("expected Full, got {other:?}"),
         };
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert!(!pusher.is_finished(), "push at the bound must block");
+        assert_eq!(bounced.metric, "m2");
+
+        // The worker side pops in FIFO order, and each pop frees a slot.
         let popped = shard.pop().unwrap();
         assert_eq!(popped.metric, "m0");
-        shard.complete(popped.payload, popped.metric);
-        assert!(pusher.join().unwrap());
-        assert!(stats.backpressure_waits.load(Ordering::Relaxed) >= 1);
+        stored(shard.try_push(bounced));
+        assert_eq!(shard.depth().0, 3, "two queued plus one in flight");
 
-        // Drain; sync returns once queue and in-flight are empty.
-        while let Some(job) = {
-            let (depth, _) = shard.depth();
-            (depth > 0).then(|| shard.pop().unwrap())
-        } {
+        // `sync` is a barrier over in-flight jobs too: it cannot return
+        // while the popped job is still being absorbed.
+        let syncer = {
+            let shard = shard.clone();
+            std::thread::spawn(move || shard.sync())
+        };
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(!syncer.is_finished(), "sync returned with jobs pending");
+
+        // Completing a job returns its buffers to the recycle pools: the
+        // next push of the same count plane hands them back, cleared.
+        let Job {
+            metric: mut spent_metric,
+            payload: mut spent_payload,
+            ..
+        } = popped;
+        spent_metric.reserve(64);
+        let metric_capacity = spent_metric.capacity();
+        if let JobPayload::Integer(p) = &mut spent_payload {
+            p.positive.reserve(32);
+        }
+        shard.complete(spent_payload, spent_metric);
+        let next = shard.pop().unwrap();
+        let (spare_payload, spare_metric) = stored(shard.try_push(job(3)));
+        assert!(spare_metric.is_empty());
+        assert_eq!(spare_metric.capacity(), metric_capacity);
+        match spare_payload {
+            JobPayload::Integer(p) => assert!(p.positive.capacity() >= 32),
+            JobPayload::Weighted(_) => panic!("recycled across count planes"),
+        }
+        shard.complete(next.payload, next.metric);
+
+        // Drain; the syncer returns once queue and in-flight are empty.
+        while shard.depth().0 > 0 {
+            let job = shard.pop().unwrap();
             shard.complete(job.payload, job.metric);
         }
+        syncer.join().unwrap();
         shard.sync();
         let (_, high) = shard.depth();
         assert_eq!(high, 2, "high watermark equals the bound");
 
-        // Closed shard: push fails, pop returns None.
+        // Closed shard: pushes bounce as Closed, jobs staged before the
+        // close still pop, then pop returns None.
+        stored(shard.try_push(job(4)));
         shard.close();
-        assert!(shard.push(job(9), &stats).is_err());
+        assert!(matches!(shard.try_push(job(5)), TryPush::Closed));
+        let last = shard.pop().unwrap();
+        assert_eq!(last.metric, "m4");
+        shard.complete(last.payload, last.metric);
         assert!(shard.pop().is_none());
     }
 

@@ -7,61 +7,22 @@
 //! loads, and the rendered response is one `memcpy` into the caller's
 //! reused output buffer.
 //!
-//! Kept as the only test in this integration binary (like the workspace
-//! `zero_alloc*.rs` suites) so no concurrent test's allocations can
-//! bleed into the counter.
+//! The allocation counter is per thread and the counted window runs
+//! [`ServerHandle::execute`] on the test thread, so the reactor and
+//! shard-worker threads cannot bleed into it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use sketchd::{AgentSender, Bind, IoModel, ServerConfig, ServerHandle};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use alloc_counter::{allocations_during, CountingAllocator};
+use sketchd::{AgentSender, Bind, ServerConfig, ServerHandle};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Count the allocations `f` performs.
-fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
-
 #[test]
 fn steady_state_cached_queries_do_not_allocate() {
-    let server = ServerHandle::spawn(
-        &Bind::Tcp("127.0.0.1:0".into()),
-        ServerConfig {
-            io_model: IoModel::Threaded,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server =
+        ServerHandle::spawn(&Bind::Tcp("127.0.0.1:0".into()), ServerConfig::default()).unwrap();
 
     // Ingest a few frames over a real socket, then drain.
     let mut sketch = ddsketch::SketchConfig::dense_collapsing(0.01, 2048)
@@ -82,8 +43,8 @@ fn steady_state_cached_queries_do_not_allocate() {
     }
     let mut out = Vec::new();
     assert!(server.execute("SYNC", &mut out));
-    // Let the agent's connection thread finish winding down so nothing
-    // else is live while the counter runs.
+    // Let the shard workers finish their post-drain snapshot refresh,
+    // so the first cached answers below are computed at the final epoch.
     std::thread::sleep(Duration::from_millis(100));
 
     for line in [

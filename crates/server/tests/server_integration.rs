@@ -2,15 +2,17 @@
 //! sockets: concurrent agent fleets with corrupt-frame injection and
 //! mid-stream disconnects, backpressure, checkpoint/restore through the
 //! wire, the server-kill reconnect regression, and protocol errors.
+//!
+//! The server's reactor needs a POSIX platform, so this suite is
+//! Unix-only.
+#![cfg(unix)]
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ddsketch::{AnyDDSketch, SketchConfig};
-use sketchd::{
-    AgentSender, Bind, IoModel, QueryClient, ReadPlane, RetryPolicy, ServerConfig, ServerHandle,
-};
+use sketchd::{AgentSender, Bind, QueryClient, ReadPlane, RetryPolicy, ServerConfig, ServerHandle};
 
 /// 2048 bins is comfortably above what the value ranges below populate,
 /// so no collapsing happens and bit-identity claims stay about the
@@ -19,21 +21,15 @@ fn cfg() -> SketchConfig {
     SketchConfig::dense_collapsing(0.01, 2048)
 }
 
-fn server_config_for(io_model: IoModel) -> ServerConfig {
+fn server_config() -> ServerConfig {
     ServerConfig {
         sketch: cfg(),
         window_secs: 10,
         fold_threshold: 8,
         shards_per_tenant: 4,
         staging_bound: 64,
-        read_timeout: Duration::from_millis(10),
-        io_model,
         ..ServerConfig::default()
     }
-}
-
-fn server_config() -> ServerConfig {
-    server_config_for(IoModel::default())
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -77,28 +73,14 @@ fn await_frames(client: &mut QueryClient, expect: u64) -> sketchd::StatsSnapshot
 /// loopback, ~2% corrupt payloads and periodic mid-stream disconnects
 /// injected, queries running concurrently with ingest — and the final
 /// tenant-wide quantiles must be **bit-identical** to a from-scratch
-/// union sketch over every valid payload. Runs under both I/O models.
+/// union sketch over every valid payload.
 #[test]
-fn fifty_agents_with_corruption_equal_the_union_threaded() {
-    fifty_agents_with_corruption(IoModel::Threaded);
-}
-
-#[cfg(unix)]
-#[test]
-fn fifty_agents_with_corruption_equal_the_union_reactor() {
-    fifty_agents_with_corruption(IoModel::Reactor);
-}
-
-fn fifty_agents_with_corruption(io_model: IoModel) {
+fn fifty_agents_with_corruption_equal_the_union() {
     const AGENTS: usize = 50;
     const FRAMES_PER_AGENT: usize = 120;
     const VALUES_PER_FRAME: usize = 20;
 
-    let server = ServerHandle::spawn(
-        &Bind::Tcp("127.0.0.1:0".into()),
-        server_config_for(io_model),
-    )
-    .unwrap();
+    let server = ServerHandle::spawn(&Bind::Tcp("127.0.0.1:0".into()), server_config()).unwrap();
     let endpoint = server.endpoint().clone();
 
     // A concurrent query thread hammers the server throughout ingest.
@@ -216,12 +198,9 @@ fn fifty_agents_with_corruption(io_model: IoModel) {
     }
 
     // The per-shard depth vector is always shaped right, and the
-    // reactor's wakeup counters move only under the reactor.
+    // reactor's wakeup counter moves.
     assert_eq!(stats.staging_depth.len(), 4);
-    match io_model {
-        IoModel::Reactor => assert!(stats.reactor_wakeups > 0, "reactor wakeups counted"),
-        IoModel::Threaded => assert_eq!(stats.reactor_wakeups, 0),
-    }
+    assert!(stats.reactor_wakeups > 0, "reactor wakeups counted");
 
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let queries = query_thread.join().unwrap();
@@ -230,7 +209,6 @@ fn fifty_agents_with_corruption(io_model: IoModel) {
 }
 
 /// The same plumbing end-to-end over a Unix domain socket.
-#[cfg(unix)]
 #[test]
 fn unix_socket_end_to_end() {
     let dir = temp_dir("unix-e2e");
@@ -266,7 +244,6 @@ fn unix_socket_end_to_end() {
 /// frame was half-written** — every absorbed frame carries exactly its
 /// full complement of values, and the framing of the resumed stream is
 /// intact.
-#[cfg(unix)]
 #[test]
 fn server_kill_midstream_reconnects_without_torn_frames() {
     const VALUES_PER_FRAME: u64 = 16;
@@ -348,25 +325,15 @@ fn server_kill_midstream_reconnects_without_torn_frames() {
 }
 
 /// A tiny staging bound must throttle a fast agent (backpressure
-/// observed in the stats) while losing nothing — Condvar blocking under
-/// the threaded model, suspension/resume under the reactor.
+/// observed in the stats) while losing nothing: the reactor suspends
+/// the connection and resumes it when the worker frees space.
 #[test]
-fn backpressure_throttles_without_loss_threaded() {
-    backpressure_throttles_without_loss(IoModel::Threaded);
-}
-
-#[cfg(unix)]
-#[test]
-fn backpressure_throttles_without_loss_reactor() {
-    backpressure_throttles_without_loss(IoModel::Reactor);
-}
-
-fn backpressure_throttles_without_loss(io_model: IoModel) {
+fn backpressure_throttles_without_loss() {
     const FRAMES: u64 = 3000;
     let config = ServerConfig {
         shards_per_tenant: 1,
         staging_bound: 1,
-        ..server_config_for(io_model)
+        ..server_config()
     };
     let server = ServerHandle::spawn(&Bind::Tcp("127.0.0.1:0".into()), config).unwrap();
     let endpoint = server.endpoint().clone();
@@ -405,13 +372,10 @@ fn backpressure_throttles_without_loss(io_model: IoModel) {
         stats.backpressure_waits > 0,
         "a bound-1 queue must have stalled ingest"
     );
-    match io_model {
-        IoModel::Reactor => assert!(
-            stats.ingest_suspensions > 0,
-            "the reactor must suspend, not block"
-        ),
-        IoModel::Threaded => assert_eq!(stats.ingest_suspensions, 0),
-    }
+    assert!(
+        stats.ingest_suspensions > 0,
+        "the reactor must suspend, not block"
+    );
     // The staging depth can never exceed the bound.
     for (depth, high) in client.shards("t").unwrap() {
         assert!(depth <= 1, "depth {depth} beyond bound");
@@ -422,23 +386,13 @@ fn backpressure_throttles_without_loss(io_model: IoModel) {
 
 /// Arrivals past [`ServerConfig::max_connections`] get a clean
 /// protocol-level reject and the slot frees once a held connection
-/// closes — under both I/O models.
+/// closes.
 #[test]
-fn connection_cap_rejects_cleanly_threaded() {
-    connection_cap_rejects_cleanly(IoModel::Threaded);
-}
-
-#[cfg(unix)]
-#[test]
-fn connection_cap_rejects_cleanly_reactor() {
-    connection_cap_rejects_cleanly(IoModel::Reactor);
-}
-
-fn connection_cap_rejects_cleanly(io_model: IoModel) {
+fn connection_cap_rejects_cleanly() {
     use std::io::Read;
     let config = ServerConfig {
         max_connections: 2,
-        ..server_config_for(io_model)
+        ..server_config()
     };
     let server = ServerHandle::spawn(&Bind::Tcp("127.0.0.1:0".into()), config).unwrap();
     let endpoint = server.endpoint().clone();
@@ -728,8 +682,8 @@ fn ttl_retention_evicts_stale_windows() {
     server.shutdown().unwrap();
 }
 
-/// Wire-level read-plane coherence, under both I/O models: a server on
-/// the epoch-cached read plane answers the whole cacheable query family
+/// Wire-level read-plane coherence: a server on the epoch-cached read
+/// plane answers the whole cacheable query family
 /// byte-identically to a locked-fold server fed the same frames, repeat
 /// queries serve from the answer cache (byte-identical again, and
 /// counted), and the snapshot counters ride STATS.
@@ -737,72 +691,67 @@ fn ttl_retention_evicts_stale_windows() {
 fn epoch_cached_answers_match_locked_fold_over_the_wire() {
     use ddsketch::AnyWeightedDDSketch;
 
-    for io_model in [IoModel::Threaded, IoModel::Reactor] {
-        let spawn = |read_plane| {
-            let config = ServerConfig {
-                read_plane,
-                ..server_config_for(io_model)
-            };
-            ServerHandle::spawn(&Bind::Tcp("127.0.0.1:0".into()), config).unwrap()
+    let spawn = |read_plane| {
+        let config = ServerConfig {
+            read_plane,
+            ..server_config()
         };
-        let cached = spawn(ReadPlane::EpochCached);
-        let locked = spawn(ReadPlane::LockedFold);
+        ServerHandle::spawn(&Bind::Tcp("127.0.0.1:0".into()), config).unwrap()
+    };
+    let cached = spawn(ReadPlane::EpochCached);
+    let locked = spawn(ReadPlane::LockedFold);
 
-        // Identical mixed-plane streams into both servers (dyadic
-        // weights keep every f64 partial sum exact).
-        for server in [&cached, &locked] {
-            let mut agent = AgentSender::connect(server.endpoint().clone(), "acme").unwrap();
-            for i in 0..32u64 {
-                let bytes = payload((1..=12).map(|k| f64::from(k) * 0.75 + i as f64 * 0.3));
-                agent
-                    .send_encoded(&format!("m{}", i % 4), (i % 5) * 10, &bytes)
-                    .unwrap();
-                let mut frame = AnyWeightedDDSketch::new(cfg()).unwrap();
-                for k in 1..=6u32 {
-                    let v = f64::from(k) * 1.25 + i as f64 * 0.5;
-                    let w = f64::from(k % 3) * 0.25 + 0.25;
-                    frame.add_with_count(v, w).unwrap();
-                }
-                agent
-                    .send_encoded(&format!("m{}", i % 4), (i % 5) * 10, &frame.encode())
-                    .unwrap();
+    // Identical mixed-plane streams into both servers (dyadic
+    // weights keep every f64 partial sum exact).
+    for server in [&cached, &locked] {
+        let mut agent = AgentSender::connect(server.endpoint().clone(), "acme").unwrap();
+        for i in 0..32u64 {
+            let bytes = payload((1..=12).map(|k| f64::from(k) * 0.75 + i as f64 * 0.3));
+            agent
+                .send_encoded(&format!("m{}", i % 4), (i % 5) * 10, &bytes)
+                .unwrap();
+            let mut frame = AnyWeightedDDSketch::new(cfg()).unwrap();
+            for k in 1..=6u32 {
+                let v = f64::from(k) * 1.25 + i as f64 * 0.5;
+                let w = f64::from(k % 3) * 0.25 + 0.25;
+                frame.add_with_count(v, w).unwrap();
             }
-            agent.close().unwrap();
-            let mut client = QueryClient::connect(server.endpoint()).unwrap();
-            await_frames(&mut client, 64);
-            client.sync().unwrap();
+            agent
+                .send_encoded(&format!("m{}", i % 4), (i % 5) * 10, &frame.encode())
+                .unwrap();
         }
-
-        let mut on_cached = QueryClient::connect(cached.endpoint()).unwrap();
-        let mut on_locked = QueryClient::connect(locked.endpoint()).unwrap();
-        let lines = [
-            "COUNT acme",
-            "WCOUNT acme",
-            "QUANTILE acme 0.01 0.5 0.9 0.99",
-            "WQUANTILE acme 0.25 0.5 0.99",
-            "SERIES acme m1 0.9",
-        ];
-        for line in lines {
-            let first = on_cached.command(line).unwrap();
-            let reference = on_locked.command(line).unwrap();
-            assert_eq!(first, reference, "{io_model:?}: {line}");
-            // The repeat is an answer-cache hit: byte-identical.
-            let again = on_cached.command(line).unwrap();
-            assert_eq!(again, first, "{io_model:?}: cached repeat of {line}");
-        }
-        let stats = on_cached.stats().unwrap();
-        assert!(
-            stats.query_cache_hits >= lines.len() as u64,
-            "{io_model:?}: repeats should hit the cache ({} hits)",
-            stats.query_cache_hits
-        );
-        assert!(
-            stats.snapshot_rebuilds >= 1,
-            "{io_model:?}: snapshots were never built"
-        );
-        cached.shutdown().unwrap();
-        locked.shutdown().unwrap();
+        agent.close().unwrap();
+        let mut client = QueryClient::connect(server.endpoint()).unwrap();
+        await_frames(&mut client, 64);
+        client.sync().unwrap();
     }
+
+    let mut on_cached = QueryClient::connect(cached.endpoint()).unwrap();
+    let mut on_locked = QueryClient::connect(locked.endpoint()).unwrap();
+    let lines = [
+        "COUNT acme",
+        "WCOUNT acme",
+        "QUANTILE acme 0.01 0.5 0.9 0.99",
+        "WQUANTILE acme 0.25 0.5 0.99",
+        "SERIES acme m1 0.9",
+    ];
+    for line in lines {
+        let first = on_cached.command(line).unwrap();
+        let reference = on_locked.command(line).unwrap();
+        assert_eq!(first, reference, "{line}");
+        // The repeat is an answer-cache hit: byte-identical.
+        let again = on_cached.command(line).unwrap();
+        assert_eq!(again, first, "cached repeat of {line}");
+    }
+    let stats = on_cached.stats().unwrap();
+    assert!(
+        stats.query_cache_hits >= lines.len() as u64,
+        "repeats should hit the cache ({} hits)",
+        stats.query_cache_hits
+    );
+    assert!(stats.snapshot_rebuilds >= 1, "snapshots were never built");
+    cached.shutdown().unwrap();
+    locked.shutdown().unwrap();
 }
 
 /// Protocol violations answer `-ERR` and leave the session usable;

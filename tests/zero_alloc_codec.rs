@@ -7,50 +7,14 @@
 //! counting global allocator and holds both claims to their numbers,
 //! after feeding an aggregator 1000 encoded payloads.
 //!
-//! Kept as the only test in this integration binary so no concurrent
-//! test's allocations can bleed into the counter (the sibling
-//! `zero_alloc.rs` binary covers the in-memory read paths).
+//! The sibling `zero_alloc.rs` binary covers the in-memory read paths.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
+use alloc_counter::{allocations_during, CountingAllocator};
 use ddsketch::{SketchConfig, SketchView};
 use pipeline::Aggregator;
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Count the allocations `f` performs.
-fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 #[test]
 fn aggregator_query_path_does_not_allocate() {

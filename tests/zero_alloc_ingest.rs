@@ -8,49 +8,15 @@
 //! [`ConcurrentSketch`] facade, and warm snapshots reuse their recycled
 //! buffers end to end.
 //!
-//! Kept as the only test in this integration binary (like `zero_alloc.rs`)
-//! so no concurrent test's allocations can bleed into the counter.
+//! The allocation counter is per thread, so the tests in this binary
+//! run in parallel without seeing each other's allocations.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
+use alloc_counter::{allocations_during, CountingAllocator};
 use ddsketch::{AnyAtomicDDSketch, AtomicSketchScratch, SketchConfig};
 use pipeline::ConcurrentSketch;
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Count the allocations `f` performs.
-fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 #[test]
 fn steady_state_atomic_ingest_does_not_allocate() {

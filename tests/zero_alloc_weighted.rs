@@ -6,51 +6,13 @@
 //! binary installs a counting global allocator and holds the weighted
 //! plane to the integer plane's number: zero allocations at steady
 //! state, for both feeding and querying, over a *mixed-dialect* stream.
-//!
-//! Kept as the only test in this integration binary so no concurrent
-//! test's allocations can bleed into the counter (same discipline as
-//! the sibling `zero_alloc*.rs` binaries).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
+use alloc_counter::{allocations_during, CountingAllocator};
 use ddsketch::{AnyDDSketch, AnyWeightedDDSketch, SketchConfig};
 use pipeline::WeightedAggregator;
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Count the allocations `f` performs.
-fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 /// Re-dress a `DDS2` frame in the legacy `DDS1` layout: the dialects
 /// differ only in the magic and the `store` byte at offset 5 (which v1
