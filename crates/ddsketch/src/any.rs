@@ -1,48 +1,92 @@
-//! [`AnyDDSketch`]: the type-erased sketch behind [`SketchConfig`].
+//! [`AnyDDSketchOf`]: the type-erased sketch behind [`SketchConfig`], one
+//! enum for both count planes.
 //!
 //! The five preset types in [`crate::presets`] are distinct concrete types,
 //! which is perfect for a single process that knows its configuration at
 //! compile time — and useless for an aggregator that must merge whatever
-//! arrives over the wire (paper Figure 1). `AnyDDSketch` closes that gap:
-//! an enum over the five presets with macro-generated match arms (no `dyn`,
-//! no allocation per call) exposing the full sketch surface, plus
-//! [`AnyDDSketch::config`] to recover the runtime configuration and a
-//! self-describing codec ([`AnyDDSketch::decode`] in [`crate::codec`])
+//! arrives over the wire (paper Figure 1). `AnyDDSketchOf<C>` closes that
+//! gap: an enum over the five presets with macro-generated match arms (no
+//! `dyn`, no allocation per call) exposing the full sketch surface, plus
+//! [`AnyDDSketchOf::config`] to recover the runtime configuration and a
+//! self-describing codec ([`AnyDDSketchOf::decode`] in [`crate::codec`])
 //! that reconstructs the right variant with no caller-side type knowledge.
+//!
+//! The paper's algorithms (insert, merge, quantile, collapse) never depend
+//! on whether bucket counts are integers, so the enum is generic over the
+//! stores' count type `C` and written once. Two instantiations exist, each
+//! under its own name:
+//!
+//! * [`AnyDDSketch`] = `AnyDDSketchOf<u64>` — the paper's integer plane,
+//!   with the fused batched `add_slice`, integer `count`, and the
+//!   mixed-source merge plane ([`crate::codec::SketchSource`]).
+//! * [`AnyWeightedDDSketch`] = `AnyDDSketchOf<f64>` — the weighted plane:
+//!   occurrences carry fractional weights (`add_with_count`), decay in
+//!   place ([`AnyDDSketchOf::scale_counts`]), and subtract with
+//!   floor-at-zero semantics ([`AnyDDSketchOf::sub_sketch`]). It is what
+//!   the `DDS3` wire dialect decodes into and what the sliding-window
+//!   plane's ingest-time-decay slots are built on.
+//!
+//! Everything both planes share is one generic `impl`; only the methods
+//! whose algorithm differs by count type (integer fast paths, the integer
+//! rank walk vs the weighted one) live in per-plane `impl` blocks.
 //!
 //! Every operation dispatches to the statically-typed preset it wraps, so
 //! an `AnyDDSketch` is bit-identical (bins, count, sum, min, max) to the
 //! matching preset fed the same stream — property-tested in the workspace
 //! integration suite.
 
+use std::fmt::Debug;
+
 use crate::config::SketchConfig;
-use crate::mapping::IndexMapping;
+use crate::mapping::{CubicInterpolatedMapping, IndexMapping, LogarithmicMapping, MappingKind};
 use crate::presets::{
-    self, BoundedDDSketch, FastDDSketch, PaperExactDDSketch, SparseDDSketch, UnboundedDDSketch,
+    BoundedDDSketch, FastDDSketch, PaperExactDDSketch, SparseDDSketch, UnboundedDDSketch,
 };
-use crate::store::Store;
+use crate::sketch::DDSketch;
+use crate::store::{
+    CollapsingHighestDenseStore, CollapsingLowestDenseStore, CollapsingSparseStore, DenseStore,
+    PlainCell, SparseStore, Store, StoreKind,
+};
 use sketch_core::{MemoryFootprint, MergeableSketch, QuantileSketch, SketchError};
 
-/// A runtime-configured DDSketch: one of the five preset types behind a
-/// single enum, selected by [`SketchConfig`].
+/// A runtime-configured DDSketch counting in `C`: one of the five preset
+/// types behind a single enum, selected by [`SketchConfig`]. Use the
+/// [`AnyDDSketch`] (`u64`) and [`AnyWeightedDDSketch`] (`f64`) names.
 #[derive(Debug, Clone)]
-pub enum AnyDDSketch {
-    /// [`presets::unbounded`]: exact log mapping, unbounded dense stores.
-    Unbounded(UnboundedDDSketch),
-    /// [`presets::logarithmic_collapsing`]: the paper's Table 2 sketch.
-    Bounded(BoundedDDSketch),
-    /// [`presets::fast`]: cubic mapping, collapsing dense stores.
-    Fast(FastDDSketch),
-    /// [`presets::sparse`]: exact log mapping, B-tree stores.
-    Sparse(SparseDDSketch),
-    /// [`presets::paper_exact`]: Algorithm-3 collapsing sparse stores.
-    PaperExact(PaperExactDDSketch),
+pub enum AnyDDSketchOf<C: PlainCell> {
+    /// [`crate::presets::unbounded`]: exact log mapping, unbounded dense
+    /// stores.
+    Unbounded(DDSketch<LogarithmicMapping, DenseStore<C>, DenseStore<C>>),
+    /// [`crate::presets::logarithmic_collapsing`]: the paper's Table 2
+    /// sketch.
+    Bounded(
+        DDSketch<LogarithmicMapping, CollapsingLowestDenseStore<C>, CollapsingHighestDenseStore<C>>,
+    ),
+    /// [`crate::presets::fast`]: cubic mapping, collapsing dense stores.
+    Fast(
+        DDSketch<
+            CubicInterpolatedMapping,
+            CollapsingLowestDenseStore<C>,
+            CollapsingHighestDenseStore<C>,
+        >,
+    ),
+    /// [`crate::presets::sparse`]: exact log mapping, B-tree stores.
+    Sparse(DDSketch<LogarithmicMapping, SparseStore<C>, SparseStore<C>>),
+    /// [`crate::presets::paper_exact`]: Algorithm-3 collapsing sparse
+    /// stores.
+    PaperExact(DDSketch<LogarithmicMapping, CollapsingSparseStore<C>, CollapsingSparseStore<C>>),
 }
 
+/// The integer-counted runtime sketch: the paper's plane.
+pub type AnyDDSketch = AnyDDSketchOf<u64>;
+
+/// The weighted (`f64`-counted) runtime sketch.
+pub type AnyWeightedDDSketch = AnyDDSketchOf<f64>;
+
 /// Recover the runtime configuration of a borrowed preset — the body of
-/// [`AnyDDSketch::config`], callable while the enum itself is already
+/// [`AnyDDSketchOf::config`], callable while the enum itself is already
 /// borrowed through one of its variants (as the merge error paths need).
-pub(crate) fn config_of<M, SP, SN>(sketch: &crate::DDSketch<M, SP, SN>) -> SketchConfig
+pub(crate) fn config_of<M, SP, SN>(sketch: &DDSketch<M, SP, SN>) -> SketchConfig
 where
     M: IndexMapping,
     SP: Store,
@@ -56,42 +100,94 @@ where
     }
 }
 
+/// The error every cross-variant merge, subtraction, and walk reports.
+pub(crate) fn mismatch(ours: impl Debug, theirs: impl Debug) -> SketchError {
+    SketchError::IncompatibleMerge(format!("store/mapping mismatch: {ours:?} vs {theirs:?}"))
+}
+
+/// What a multi-sketch query over no sketches returns: an invalid `q` is
+/// still an error, an empty `qs` succeeds, and anything else is `Empty`.
+pub(crate) fn no_sketches(qs: &[f64]) -> Result<(), SketchError> {
+    if let Some(&q) = qs.iter().find(|q| !(0.0..=1.0).contains(*q)) {
+        return Err(SketchError::InvalidQuantile(q));
+    }
+    if qs.is_empty() {
+        Ok(())
+    } else {
+        Err(SketchError::Empty)
+    }
+}
+
 /// Dispatch `$body` over whichever preset `$self` wraps, binding it to
 /// `$s`. One macro, five arms, zero virtual calls.
 macro_rules! dispatch {
     ($self:expr, $s:ident => $body:expr) => {
         match $self {
-            AnyDDSketch::Unbounded($s) => $body,
-            AnyDDSketch::Bounded($s) => $body,
-            AnyDDSketch::Fast($s) => $body,
-            AnyDDSketch::Sparse($s) => $body,
-            AnyDDSketch::PaperExact($s) => $body,
+            $crate::any::AnyDDSketchOf::Unbounded($s) => $body,
+            $crate::any::AnyDDSketchOf::Bounded($s) => $body,
+            $crate::any::AnyDDSketchOf::Fast($s) => $body,
+            $crate::any::AnyDDSketchOf::Sparse($s) => $body,
+            $crate::any::AnyDDSketchOf::PaperExact($s) => $body,
         }
     };
 }
 pub(crate) use dispatch;
 
-impl AnyDDSketch {
+/// Dispatch `$body` over two sketches wrapping the same variant, binding
+/// them to `$a` and `$b`; differing variants fail with [`mismatch`].
+macro_rules! pair_dispatch {
+    ($x:expr, $y:expr, $a:ident, $b:ident => $body:expr) => {
+        match ($x, $y) {
+            (AnyDDSketchOf::Unbounded($a), AnyDDSketchOf::Unbounded($b)) => $body,
+            (AnyDDSketchOf::Bounded($a), AnyDDSketchOf::Bounded($b)) => $body,
+            (AnyDDSketchOf::Fast($a), AnyDDSketchOf::Fast($b)) => $body,
+            (AnyDDSketchOf::Sparse($a), AnyDDSketchOf::Sparse($b)) => $body,
+            (AnyDDSketchOf::PaperExact($a), AnyDDSketchOf::PaperExact($b)) => $body,
+            (a, b) => Err(mismatch(a.config(), b.config())),
+        }
+    };
+}
+
+impl<C: PlainCell> AnyDDSketchOf<C> {
     /// Build an empty sketch for `config` (validating it first).
     pub fn new(config: SketchConfig) -> Result<Self, SketchError> {
         config.validate()?;
-        use crate::mapping::MappingKind;
-        use crate::store::StoreKind;
+        let (alpha, bins) = (config.alpha, config.max_bins);
         Ok(match (config.mapping, config.store) {
             (MappingKind::Logarithmic, StoreKind::Unbounded) => {
-                AnyDDSketch::Unbounded(presets::unbounded(config.alpha)?)
+                AnyDDSketchOf::Unbounded(DDSketch::from_parts(
+                    LogarithmicMapping::new(alpha)?,
+                    DenseStore::default(),
+                    DenseStore::default(),
+                ))
             }
-            (MappingKind::Logarithmic, StoreKind::CollapsingDense) => AnyDDSketch::Bounded(
-                presets::logarithmic_collapsing(config.alpha, config.max_bins)?,
-            ),
+            (MappingKind::Logarithmic, StoreKind::CollapsingDense) => {
+                AnyDDSketchOf::Bounded(DDSketch::from_parts(
+                    LogarithmicMapping::new(alpha)?,
+                    CollapsingLowestDenseStore::with_max_bins(bins),
+                    CollapsingHighestDenseStore::with_max_bins(bins),
+                ))
+            }
             (MappingKind::CubicInterpolated, StoreKind::CollapsingDense) => {
-                AnyDDSketch::Fast(presets::fast(config.alpha, config.max_bins)?)
+                AnyDDSketchOf::Fast(DDSketch::from_parts(
+                    CubicInterpolatedMapping::new(alpha)?,
+                    CollapsingLowestDenseStore::with_max_bins(bins),
+                    CollapsingHighestDenseStore::with_max_bins(bins),
+                ))
             }
             (MappingKind::Logarithmic, StoreKind::Sparse) => {
-                AnyDDSketch::Sparse(presets::sparse(config.alpha)?)
+                AnyDDSketchOf::Sparse(DDSketch::from_parts(
+                    LogarithmicMapping::new(alpha)?,
+                    SparseStore::default(),
+                    SparseStore::default(),
+                ))
             }
             (MappingKind::Logarithmic, StoreKind::CollapsingSparse) => {
-                AnyDDSketch::PaperExact(presets::paper_exact(config.alpha, config.max_bins)?)
+                AnyDDSketchOf::PaperExact(DDSketch::from_parts(
+                    LogarithmicMapping::new(alpha)?,
+                    CollapsingSparseStore::with_max_bins(bins),
+                    CollapsingSparseStore::with_max_bins(bins),
+                ))
             }
             _ => unreachable!("validate() rejects unsupported combinations"),
         })
@@ -110,81 +206,48 @@ impl AnyDDSketch {
         dispatch!(self, s => s.relative_accuracy())
     }
 
-    /// Insert one occurrence of `value`.
-    pub fn add(&mut self, value: f64) -> Result<(), SketchError> {
-        dispatch!(self, s => s.add(value))
-    }
-
-    /// Insert `count` occurrences of `value` in O(1).
-    pub fn add_n(&mut self, value: f64, count: u64) -> Result<(), SketchError> {
-        dispatch!(self, s => s.add_n(value, count))
-    }
-
-    /// Bulk-insert a batch through the preset's fused fast path. Atomic
-    /// like [`crate::DDSketch::add_slice`]: an unsupported value fails the
-    /// whole batch without ingesting anything.
-    pub fn add_slice(&mut self, values: &[f64]) -> Result<(), SketchError> {
-        dispatch!(self, s => s.add_slice(values))
-    }
-
-    /// Remove one previously-inserted occurrence of `value`; see
-    /// [`crate::DDSketch::delete`].
-    pub fn delete(&mut self, value: f64) -> bool {
-        dispatch!(self, s => s.delete(value))
-    }
-
     /// Insert `count` occurrences of `value` through the count-generic
-    /// ingestion path ([`crate::DDSketch::add_with_count`]); identical to
-    /// [`Self::add_n`] for this integer-counted plane.
-    pub fn add_with_count(&mut self, value: f64, count: u64) -> Result<(), SketchError> {
+    /// ingestion path ([`DDSketch::add_with_count`]): on the weighted plane
+    /// `count` may be fractional; on the integer plane this is `add_n`.
+    pub fn add_with_count(&mut self, value: f64, count: C) -> Result<(), SketchError> {
         dispatch!(self, s => s.add_with_count(value, count))
     }
 
-    /// Subtract another sketch's contents bucket-by-bucket, flooring at
-    /// zero; see [`crate::DDSketch::sub_sketch`]. Both sketches must wrap
-    /// the same variant with mergeable mappings.
-    pub fn sub_sketch(&mut self, other: &Self) -> Result<(), SketchError> {
-        match (self, other) {
-            (AnyDDSketch::Unbounded(a), AnyDDSketch::Unbounded(b)) => a.sub_sketch(b),
-            (AnyDDSketch::Bounded(a), AnyDDSketch::Bounded(b)) => a.sub_sketch(b),
-            (AnyDDSketch::Fast(a), AnyDDSketch::Fast(b)) => a.sub_sketch(b),
-            (AnyDDSketch::Sparse(a), AnyDDSketch::Sparse(b)) => a.sub_sketch(b),
-            (AnyDDSketch::PaperExact(a), AnyDDSketch::PaperExact(b)) => a.sub_sketch(b),
-            (a, b) => Err(SketchError::IncompatibleMerge(format!(
-                "store/mapping mismatch: {:?} vs {:?}",
-                a.config(),
-                b.config()
-            ))),
-        }
+    /// Bulk-insert `(value, count)` pairs atomically; see
+    /// [`DDSketch::add_weighted_slice`].
+    pub fn add_weighted_slice(&mut self, pairs: &[(f64, C)]) -> Result<(), SketchError> {
+        dispatch!(self, s => s.add_weighted_slice(pairs))
     }
 
-    /// Scale every stored count by `factor` (integer counts round to
-    /// nearest); see [`crate::DDSketch::scale_counts`].
+    /// Subtract another sketch's contents bucket-by-bucket, flooring at
+    /// zero; see [`DDSketch::sub_sketch`]. Both sketches must wrap the
+    /// same variant with mergeable mappings.
+    pub fn sub_sketch(&mut self, other: &Self) -> Result<(), SketchError> {
+        pair_dispatch!(self, other, a, b => a.sub_sketch(b))
+    }
+
+    /// Scale every stored count by `factor` — ingest-time exponential
+    /// decay (integer counts round to nearest); see
+    /// [`DDSketch::scale_counts`].
     pub fn scale_counts(&mut self, factor: f64) -> Result<(), SketchError> {
         dispatch!(self, s => s.scale_counts(factor))
     }
 
-    /// Total stored weight as `f64`; see
-    /// [`crate::DDSketch::weighted_count`].
+    /// Total stored weight as `f64`; see [`DDSketch::weighted_count`].
     pub fn weighted_count(&self) -> f64 {
         dispatch!(self, s => s.weighted_count())
     }
 
-    /// Estimate the q-quantile (Algorithm 2).
-    pub fn quantile(&self, q: f64) -> Result<f64, SketchError> {
-        dispatch!(self, s => s.quantile(q))
+    /// Count (weight) in the exact zero bucket.
+    pub fn zero_weight(&self) -> C {
+        dispatch!(self, s => s.zero_weight())
     }
 
-    /// Estimate several quantiles in one sorted-rank store walk; see
-    /// [`crate::DDSketch::quantiles`].
-    pub fn quantiles(&self, qs: &[f64]) -> Result<Vec<f64>, SketchError> {
-        dispatch!(self, s => s.quantiles(qs))
-    }
-
-    /// Hard bounds on the q-quantile; see
-    /// [`crate::DDSketch::quantile_bounds`].
-    pub fn quantile_bounds(&self, q: f64) -> Result<(f64, f64), SketchError> {
-        dispatch!(self, s => s.quantile_bounds(q))
+    /// Total stored count (weight) in the plane's own count type.
+    pub fn total(&self) -> C {
+        dispatch!(self, s => {
+            s.zero_weight() + s.positive_store().total_count() + s.negative_store().total_count()
+        })
     }
 
     /// Merge another runtime-configured sketch into this one.
@@ -196,22 +259,11 @@ impl AnyDDSketch {
     /// sketches built from different store families do not share collapse
     /// semantics, so merging them would silently void Proposition 4.
     pub fn merge_from(&mut self, other: &Self) -> Result<(), SketchError> {
-        match (self, other) {
-            (AnyDDSketch::Unbounded(a), AnyDDSketch::Unbounded(b)) => a.merge_from(b),
-            (AnyDDSketch::Bounded(a), AnyDDSketch::Bounded(b)) => a.merge_from(b),
-            (AnyDDSketch::Fast(a), AnyDDSketch::Fast(b)) => a.merge_from(b),
-            (AnyDDSketch::Sparse(a), AnyDDSketch::Sparse(b)) => a.merge_from(b),
-            (AnyDDSketch::PaperExact(a), AnyDDSketch::PaperExact(b)) => a.merge_from(b),
-            (a, b) => Err(SketchError::IncompatibleMerge(format!(
-                "store/mapping mismatch: {:?} vs {:?}",
-                a.config(),
-                b.config()
-            ))),
-        }
+        pair_dispatch!(self, other, a, b => a.merge_from(b))
     }
 
     /// Merge any number of same-variant sketches into this one in a
-    /// single k-way pass; see [`crate::DDSketch::merge_many`].
+    /// single k-way pass; see [`DDSketch::merge_many`].
     ///
     /// Like [`Self::merge_from`], every sketch must wrap the same variant
     /// with a mergeable mapping; the first mismatch fails the whole call
@@ -222,13 +274,9 @@ impl AnyDDSketch {
                 let mut typed = Vec::with_capacity(others.len());
                 for other in others {
                     match other {
-                        AnyDDSketch::$variant(sketch) => typed.push(sketch),
+                        AnyDDSketchOf::$variant(sketch) => typed.push(sketch),
                         mismatched => {
-                            return Err(SketchError::IncompatibleMerge(format!(
-                                "store/mapping mismatch: {:?} vs {:?}",
-                                config_of($target),
-                                mismatched.config()
-                            )))
+                            return Err(mismatch(config_of($target), mismatched.config()))
                         }
                     }
                 }
@@ -236,32 +284,159 @@ impl AnyDDSketch {
             }};
         }
         match self {
-            AnyDDSketch::Unbounded(s) => merge_arm!(s, Unbounded),
-            AnyDDSketch::Bounded(s) => merge_arm!(s, Bounded),
-            AnyDDSketch::Fast(s) => merge_arm!(s, Fast),
-            AnyDDSketch::Sparse(s) => merge_arm!(s, Sparse),
-            AnyDDSketch::PaperExact(s) => merge_arm!(s, PaperExact),
+            AnyDDSketchOf::Unbounded(s) => merge_arm!(s, Unbounded),
+            AnyDDSketchOf::Bounded(s) => merge_arm!(s, Bounded),
+            AnyDDSketchOf::Fast(s) => merge_arm!(s, Fast),
+            AnyDDSketchOf::Sparse(s) => merge_arm!(s, Sparse),
+            AnyDDSketchOf::PaperExact(s) => merge_arm!(s, PaperExact),
         }
     }
 
+    /// Whether the sketch holds no data.
+    pub fn is_empty(&self) -> bool {
+        dispatch!(self, s => s.is_empty())
+    }
+
+    /// Exact (weighted) sum of inserted values.
+    pub fn sum(&self) -> f64 {
+        dispatch!(self, s => s.sum())
+    }
+
+    /// Exact (weighted) mean, or `None` if empty.
+    pub fn average(&self) -> Option<f64> {
+        dispatch!(self, s => s.average())
+    }
+
+    /// Exact minimum inserted value.
+    pub fn min(&self) -> Option<f64> {
+        dispatch!(self, s => s.min())
+    }
+
+    /// Exact maximum inserted value.
+    pub fn max(&self) -> Option<f64> {
+        dispatch!(self, s => s.max())
+    }
+
+    /// Number of non-empty buckets plus the zero bucket.
+    pub fn num_bins(&self) -> usize {
+        dispatch!(self, s => s.num_bins())
+    }
+
+    /// Whether any store has collapsed buckets (Proposition 4).
+    pub fn has_collapsed(&self) -> bool {
+        dispatch!(self, s => s.has_collapsed())
+    }
+
+    /// Reset to empty, retaining allocations and configuration.
+    pub fn clear(&mut self) {
+        dispatch!(self, s => s.clear())
+    }
+
+    /// Free the batched-ingestion scratch buffers; see
+    /// [`DDSketch::release_scratch`].
+    pub fn release_scratch(&mut self) {
+        dispatch!(self, s => s.release_scratch())
+    }
+
+    /// Structural memory footprint in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        dispatch!(self, s => s.memory_bytes())
+    }
+
+    /// Positive-store bins in ascending index order (read-only; used by
+    /// tests asserting bit-identity against the statically-typed presets).
+    pub fn positive_bins(&self) -> Vec<(i32, C)> {
+        dispatch!(self, s => s.positive_store().bins_ascending())
+    }
+
+    /// Negative-store bins in ascending index order (of `|x|`).
+    pub fn negative_bins(&self) -> Vec<(i32, C)> {
+        dispatch!(self, s => s.negative_store().bins_ascending())
+    }
+
+    /// Internal: bulk-absorb raw state (summary statistics plus positive /
+    /// negative bins) with union-merge semantics — one [`Store::add_bins`]
+    /// pass per store, so bounded families apply their collapse clamp
+    /// exactly as a merge would. This is how the lock-free ingest plane's
+    /// snapshots ([`crate::atomic`]) and the codec's payload folds
+    /// materialize: raw counters in, a regular sketch out, without an
+    /// intermediate sketch.
+    pub(crate) fn absorb_raw(
+        &mut self,
+        zero_count: C,
+        min: f64,
+        max: f64,
+        sum: f64,
+        pos_bins: &[(i32, C)],
+        neg_bins: &[(i32, C)],
+    ) {
+        dispatch!(self, s => s.absorb_bins(zero_count, min, max, sum, pos_bins, neg_bins))
+    }
+
+    /// Internal: bulk-load decoded state into an empty sketch (an exact
+    /// overwrite, not a fold) — the codec's payload-to-sketch path.
+    pub(crate) fn load_raw(
+        &mut self,
+        zero_count: C,
+        min: f64,
+        max: f64,
+        sum: f64,
+        pos_bins: &[(i32, C)],
+        neg_bins: &[(i32, C)],
+    ) {
+        dispatch!(self, s => s.load(zero_count, min, max, sum, pos_bins, neg_bins))
+    }
+}
+
+impl AnyDDSketch {
+    /// Insert one occurrence of `value`.
+    pub fn add(&mut self, value: f64) -> Result<(), SketchError> {
+        dispatch!(self, s => s.add(value))
+    }
+
+    /// Insert `count` occurrences of `value` in O(1).
+    pub fn add_n(&mut self, value: f64, count: u64) -> Result<(), SketchError> {
+        dispatch!(self, s => s.add_n(value, count))
+    }
+
+    /// Bulk-insert a batch through the preset's fused fast path. Atomic
+    /// like [`DDSketch::add_slice`]: an unsupported value fails the whole
+    /// batch without ingesting anything.
+    pub fn add_slice(&mut self, values: &[f64]) -> Result<(), SketchError> {
+        dispatch!(self, s => s.add_slice(values))
+    }
+
+    /// Remove one previously-inserted occurrence of `value`; see
+    /// [`DDSketch::delete`].
+    pub fn delete(&mut self, value: f64) -> bool {
+        dispatch!(self, s => s.delete(value))
+    }
+
+    /// Estimate the q-quantile (Algorithm 2).
+    pub fn quantile(&self, q: f64) -> Result<f64, SketchError> {
+        dispatch!(self, s => s.quantile(q))
+    }
+
+    /// Estimate several quantiles in one sorted-rank store walk; see
+    /// [`DDSketch::quantiles`].
+    pub fn quantiles(&self, qs: &[f64]) -> Result<Vec<f64>, SketchError> {
+        dispatch!(self, s => s.quantiles(qs))
+    }
+
+    /// Hard bounds on the q-quantile; see [`DDSketch::quantile_bounds`].
+    pub fn quantile_bounds(&self, q: f64) -> Result<(f64, f64), SketchError> {
+        dispatch!(self, s => s.quantile_bounds(q))
+    }
+
     /// Estimate quantiles of the merge of `sketches` without materializing
-    /// the merged sketch; see [`crate::DDSketch::merged_quantiles`].
+    /// the merged sketch; see [`DDSketch::merged_quantiles`].
     ///
     /// Every sketch must wrap the same variant with a mergeable mapping.
     /// With no sketches (or no data), non-empty `qs` fail with `Empty`
     /// while an empty `qs` succeeds with an empty vec.
     pub fn merged_quantiles(sketches: &[&Self], qs: &[f64]) -> Result<Vec<f64>, SketchError> {
         let Some((first, rest)) = sketches.split_first() else {
-            for &q in qs {
-                if !(0.0..=1.0).contains(&q) {
-                    return Err(SketchError::InvalidQuantile(q));
-                }
-            }
-            return if qs.is_empty() {
-                Ok(Vec::new())
-            } else {
-                Err(SketchError::Empty)
-            };
+            return no_sketches(qs).map(|()| Vec::new());
         };
         macro_rules! quantiles_arm {
             ($head:ident, $variant:ident) => {{
@@ -269,32 +444,26 @@ impl AnyDDSketch {
                 typed.push($head);
                 for other in rest {
                     match other {
-                        AnyDDSketch::$variant(sketch) => typed.push(sketch),
-                        mismatched => {
-                            return Err(SketchError::IncompatibleMerge(format!(
-                                "store/mapping mismatch: {:?} vs {:?}",
-                                config_of($head),
-                                mismatched.config()
-                            )))
-                        }
+                        AnyDDSketchOf::$variant(sketch) => typed.push(sketch),
+                        mismatched => return Err(mismatch(config_of($head), mismatched.config())),
                     }
                 }
-                crate::DDSketch::merged_quantiles(&typed, qs)
+                DDSketch::merged_quantiles(&typed, qs)
             }};
         }
         match first {
-            AnyDDSketch::Unbounded(s) => quantiles_arm!(s, Unbounded),
-            AnyDDSketch::Bounded(s) => quantiles_arm!(s, Bounded),
-            AnyDDSketch::Fast(s) => quantiles_arm!(s, Fast),
-            AnyDDSketch::Sparse(s) => quantiles_arm!(s, Sparse),
-            AnyDDSketch::PaperExact(s) => quantiles_arm!(s, PaperExact),
+            AnyDDSketchOf::Unbounded(s) => quantiles_arm!(s, Unbounded),
+            AnyDDSketchOf::Bounded(s) => quantiles_arm!(s, Bounded),
+            AnyDDSketchOf::Fast(s) => quantiles_arm!(s, Fast),
+            AnyDDSketchOf::Sparse(s) => quantiles_arm!(s, Sparse),
+            AnyDDSketchOf::PaperExact(s) => quantiles_arm!(s, PaperExact),
         }
     }
 
     /// [`Self::merged_quantiles`] over an iterator of borrowed sketches,
     /// writing into caller-owned buffers; see
-    /// [`crate::DDSketch::merged_quantiles_into`]. With `scratch` and
-    /// `out` reused across calls, dense-store walks perform zero heap
+    /// [`DDSketch::merged_quantiles_into`]. With `scratch` and `out`
+    /// reused across calls, dense-store walks perform zero heap
     /// allocations at steady state — the sliding-window read path.
     ///
     /// Every sketch must wrap the same variant with a mergeable mapping;
@@ -307,32 +476,19 @@ impl AnyDDSketch {
         out: &mut Vec<f64>,
     ) -> Result<(), SketchError> {
         let Some(first) = sketches.clone().next() else {
-            for &q in qs {
-                if !(0.0..=1.0).contains(&q) {
-                    return Err(SketchError::InvalidQuantile(q));
-                }
-            }
             out.clear();
-            return if qs.is_empty() {
-                Ok(())
-            } else {
-                Err(SketchError::Empty)
-            };
+            return no_sketches(qs);
         };
         macro_rules! into_arm {
             ($head:ident, $variant:ident) => {{
                 for other in sketches.clone() {
-                    if !matches!(other, AnyDDSketch::$variant(_)) {
-                        return Err(SketchError::IncompatibleMerge(format!(
-                            "store/mapping mismatch: {:?} vs {:?}",
-                            config_of($head),
-                            other.config()
-                        )));
+                    if !matches!(other, AnyDDSketchOf::$variant(_)) {
+                        return Err(mismatch(config_of($head), other.config()));
                     }
                 }
-                crate::DDSketch::merged_quantiles_into(
+                DDSketch::merged_quantiles_into(
                     sketches.map(|s| match s {
-                        AnyDDSketch::$variant(sketch) => sketch,
+                        AnyDDSketchOf::$variant(sketch) => sketch,
                         _ => unreachable!("variants checked above"),
                     }),
                     qs,
@@ -342,17 +498,17 @@ impl AnyDDSketch {
             }};
         }
         match first {
-            AnyDDSketch::Unbounded(s) => into_arm!(s, Unbounded),
-            AnyDDSketch::Bounded(s) => into_arm!(s, Bounded),
-            AnyDDSketch::Fast(s) => into_arm!(s, Fast),
-            AnyDDSketch::Sparse(s) => into_arm!(s, Sparse),
-            AnyDDSketch::PaperExact(s) => into_arm!(s, PaperExact),
+            AnyDDSketchOf::Unbounded(s) => into_arm!(s, Unbounded),
+            AnyDDSketchOf::Bounded(s) => into_arm!(s, Bounded),
+            AnyDDSketchOf::Fast(s) => into_arm!(s, Fast),
+            AnyDDSketchOf::Sparse(s) => into_arm!(s, Sparse),
+            AnyDDSketchOf::PaperExact(s) => into_arm!(s, PaperExact),
         }
     }
 
     /// Weighted merged quantiles over `(sketch, weight)` pairs; see
-    /// [`crate::DDSketch::weighted_merged_quantiles_into`]. Each sketch's
-    /// bins count `weight` times in the rank walk — the query-time decay
+    /// [`DDSketch::weighted_merged_quantiles_into`]. Each sketch's bins
+    /// count `weight` times in the rank walk — the query-time decay
     /// behind "recent-biased" sliding-window reads. Every sketch must
     /// wrap the same variant with a mergeable mapping.
     pub fn weighted_merged_quantiles_into<'a>(
@@ -361,32 +517,19 @@ impl AnyDDSketch {
         out: &mut Vec<f64>,
     ) -> Result<(), SketchError> {
         let Some((first, _)) = sketches.clone().next() else {
-            for &q in qs {
-                if !(0.0..=1.0).contains(&q) {
-                    return Err(SketchError::InvalidQuantile(q));
-                }
-            }
             out.clear();
-            return if qs.is_empty() {
-                Ok(())
-            } else {
-                Err(SketchError::Empty)
-            };
+            return no_sketches(qs);
         };
         macro_rules! weighted_arm {
             ($head:ident, $variant:ident) => {{
                 for (other, _) in sketches.clone() {
-                    if !matches!(other, AnyDDSketch::$variant(_)) {
-                        return Err(SketchError::IncompatibleMerge(format!(
-                            "store/mapping mismatch: {:?} vs {:?}",
-                            config_of($head),
-                            other.config()
-                        )));
+                    if !matches!(other, AnyDDSketchOf::$variant(_)) {
+                        return Err(mismatch(config_of($head), other.config()));
                     }
                 }
-                crate::DDSketch::weighted_merged_quantiles_into(
+                DDSketch::weighted_merged_quantiles_into(
                     sketches.map(|(s, w)| match s {
-                        AnyDDSketch::$variant(sketch) => (sketch, w),
+                        AnyDDSketchOf::$variant(sketch) => (sketch, w),
                         _ => unreachable!("variants checked above"),
                     }),
                     qs,
@@ -395,11 +538,11 @@ impl AnyDDSketch {
             }};
         }
         match first {
-            AnyDDSketch::Unbounded(s) => weighted_arm!(s, Unbounded),
-            AnyDDSketch::Bounded(s) => weighted_arm!(s, Bounded),
-            AnyDDSketch::Fast(s) => weighted_arm!(s, Fast),
-            AnyDDSketch::Sparse(s) => weighted_arm!(s, Sparse),
-            AnyDDSketch::PaperExact(s) => weighted_arm!(s, PaperExact),
+            AnyDDSketchOf::Unbounded(s) => weighted_arm!(s, Unbounded),
+            AnyDDSketchOf::Bounded(s) => weighted_arm!(s, Bounded),
+            AnyDDSketchOf::Fast(s) => weighted_arm!(s, Fast),
+            AnyDDSketchOf::Sparse(s) => weighted_arm!(s, Sparse),
+            AnyDDSketchOf::PaperExact(s) => weighted_arm!(s, PaperExact),
         }
     }
 
@@ -418,89 +561,39 @@ impl AnyDDSketch {
         dispatch!(self, s => s.count())
     }
 
-    /// Whether the sketch holds no data.
-    pub fn is_empty(&self) -> bool {
-        self.count() == 0
-    }
-
-    /// Exact sum of inserted values.
-    pub fn sum(&self) -> f64 {
-        dispatch!(self, s => s.sum())
-    }
-
-    /// Exact mean, or `None` if empty.
-    pub fn average(&self) -> Option<f64> {
-        dispatch!(self, s => s.average())
-    }
-
-    /// Exact minimum inserted value.
-    pub fn min(&self) -> Option<f64> {
-        dispatch!(self, s => s.min())
-    }
-
-    /// Exact maximum inserted value.
-    pub fn max(&self) -> Option<f64> {
-        dispatch!(self, s => s.max())
-    }
-
     /// Count of values in the exact zero bucket.
     pub fn zero_count(&self) -> u64 {
         dispatch!(self, s => s.zero_count())
     }
+}
 
-    /// Number of non-empty buckets plus the zero bucket.
-    pub fn num_bins(&self) -> usize {
-        dispatch!(self, s => s.num_bins())
+impl AnyWeightedDDSketch {
+    /// Insert one occurrence of `value` at weight 1.
+    pub fn add(&mut self, value: f64) -> Result<(), SketchError> {
+        self.add_with_count(value, 1.0)
     }
 
-    /// Whether any store has collapsed buckets (Proposition 4).
-    pub fn has_collapsed(&self) -> bool {
-        dispatch!(self, s => s.has_collapsed())
+    /// Estimate the q-quantile of the weighted multiset; see
+    /// [`DDSketch::weighted_quantile`].
+    pub fn quantile(&self, q: f64) -> Result<f64, SketchError> {
+        dispatch!(self, s => s.weighted_quantile(q))
     }
 
-    /// Reset to empty, retaining allocations and configuration.
-    pub fn clear(&mut self) {
-        dispatch!(self, s => s.clear())
+    /// Estimate several quantiles; output order matches input order.
+    pub fn quantiles(&self, qs: &[f64]) -> Result<Vec<f64>, SketchError> {
+        dispatch!(self, s => s.weighted_quantiles(qs))
     }
 
-    /// Internal: bulk-absorb raw state (summary statistics plus positive /
-    /// negative bins) with union-merge semantics — one [`Store::add_bins`]
-    /// pass per store, so bounded families apply their collapse clamp
-    /// exactly as a merge would. This is how the lock-free ingest plane's
-    /// snapshots materialize ([`crate::atomic`]): raw atomic counters in,
-    /// a regular sketch out, without an intermediate sketch.
-    pub(crate) fn absorb_raw(
-        &mut self,
-        zero_count: u64,
-        min: f64,
-        max: f64,
-        sum: f64,
-        pos_bins: &[(i32, u64)],
-        neg_bins: &[(i32, u64)],
-    ) {
-        dispatch!(self, s => s.absorb_bins(zero_count, min, max, sum, pos_bins, neg_bins))
-    }
-
-    /// Free the batched-ingestion scratch buffers; see
-    /// [`crate::DDSketch::release_scratch`].
-    pub fn release_scratch(&mut self) {
-        dispatch!(self, s => s.release_scratch())
-    }
-
-    /// Structural memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        dispatch!(self, s => s.memory_bytes())
-    }
-
-    /// Positive-store bins in ascending index order (read-only; used by
-    /// tests asserting bit-identity against the statically-typed presets).
-    pub fn positive_bins(&self) -> Vec<(i32, u64)> {
-        dispatch!(self, s => s.positive_store().bins_ascending())
-    }
-
-    /// Negative-store bins in ascending index order (of `|x|`).
-    pub fn negative_bins(&self) -> Vec<(i32, u64)> {
-        dispatch!(self, s => s.negative_store().bins_ascending())
+    /// [`AnyWeightedDDSketch::quantiles`] into a caller-owned buffer —
+    /// the allocation-free query form (on the dense store families the
+    /// walk touches no heap). On error `out`'s contents are unspecified.
+    pub fn quantiles_into(&self, qs: &[f64], out: &mut Vec<f64>) -> Result<(), SketchError> {
+        out.clear();
+        out.reserve(qs.len());
+        for &q in qs {
+            out.push(self.quantile(q)?);
+        }
+        Ok(())
     }
 }
 
@@ -543,15 +636,15 @@ impl QuantileSketch for AnyDDSketch {
     }
 }
 
-impl MergeableSketch for AnyDDSketch {
+impl<C: PlainCell> MergeableSketch for AnyDDSketchOf<C> {
     fn merge_from(&mut self, other: &Self) -> Result<(), SketchError> {
-        AnyDDSketch::merge_from(self, other)
+        AnyDDSketchOf::merge_from(self, other)
     }
 }
 
-impl MemoryFootprint for AnyDDSketch {
+impl<C: PlainCell> MemoryFootprint for AnyDDSketchOf<C> {
     fn memory_bytes(&self) -> usize {
-        AnyDDSketch::memory_bytes(self)
+        AnyDDSketchOf::memory_bytes(self)
     }
 }
 
@@ -559,7 +652,7 @@ macro_rules! impl_from_preset {
     ($($preset:ty => $variant:ident),* $(,)?) => {
         $(impl From<$preset> for AnyDDSketch {
             fn from(sketch: $preset) -> Self {
-                AnyDDSketch::$variant(sketch)
+                AnyDDSketchOf::$variant(sketch)
             }
         })*
     };
@@ -573,265 +666,11 @@ impl_from_preset!(
     PaperExactDDSketch => PaperExact,
 );
 
-/// The weighted (`f64`-counted) twin of [`AnyDDSketch`]: the same five
-/// runtime-selected configurations with stores that count in `f64`, so
-/// occurrences carry fractional weights, decay in place
-/// ([`Self::scale_counts`]), and subtract with floor-at-zero semantics
-/// ([`Self::sub_sketch`]). This is the type the `DDS3` wire dialect
-/// decodes into ([`crate::codec`]) and the sliding-window plane's
-/// ingest-time-decay slots are built on.
-#[derive(Debug, Clone)]
-pub enum AnyWeightedDDSketch {
-    /// Weighted [`presets::unbounded`].
-    Unbounded(presets::WeightedUnboundedDDSketch),
-    /// Weighted [`presets::logarithmic_collapsing`].
-    Bounded(presets::WeightedBoundedDDSketch),
-    /// Weighted [`presets::fast`].
-    Fast(presets::WeightedFastDDSketch),
-    /// Weighted [`presets::sparse`].
-    Sparse(presets::WeightedSparseDDSketch),
-    /// Weighted [`presets::paper_exact`].
-    PaperExact(presets::WeightedPaperExactDDSketch),
-}
-
-/// [`dispatch!`] for the weighted enum.
-macro_rules! wdispatch {
-    ($self:expr, $s:ident => $body:expr) => {
-        match $self {
-            AnyWeightedDDSketch::Unbounded($s) => $body,
-            AnyWeightedDDSketch::Bounded($s) => $body,
-            AnyWeightedDDSketch::Fast($s) => $body,
-            AnyWeightedDDSketch::Sparse($s) => $body,
-            AnyWeightedDDSketch::PaperExact($s) => $body,
-        }
-    };
-}
-
-impl AnyWeightedDDSketch {
-    /// Build an empty weighted sketch for `config` (validating it first).
-    pub fn new(config: SketchConfig) -> Result<Self, SketchError> {
-        config.validate()?;
-        use crate::mapping::MappingKind;
-        use crate::store::StoreKind;
-        Ok(match (config.mapping, config.store) {
-            (MappingKind::Logarithmic, StoreKind::Unbounded) => {
-                AnyWeightedDDSketch::Unbounded(presets::weighted_unbounded(config.alpha)?)
-            }
-            (MappingKind::Logarithmic, StoreKind::CollapsingDense) => AnyWeightedDDSketch::Bounded(
-                presets::weighted_logarithmic_collapsing(config.alpha, config.max_bins)?,
-            ),
-            (MappingKind::CubicInterpolated, StoreKind::CollapsingDense) => {
-                AnyWeightedDDSketch::Fast(presets::weighted_fast(config.alpha, config.max_bins)?)
-            }
-            (MappingKind::Logarithmic, StoreKind::Sparse) => {
-                AnyWeightedDDSketch::Sparse(presets::weighted_sparse(config.alpha)?)
-            }
-            (MappingKind::Logarithmic, StoreKind::CollapsingSparse) => {
-                AnyWeightedDDSketch::PaperExact(presets::weighted_paper_exact(
-                    config.alpha,
-                    config.max_bins,
-                )?)
-            }
-            _ => unreachable!("validate() rejects unsupported combinations"),
-        })
-    }
-
-    /// Recover the runtime configuration this sketch was built with.
-    pub fn config(&self) -> SketchConfig {
-        wdispatch!(self, s => config_of(s))
-    }
-
-    /// The relative accuracy `α` guaranteed for non-collapsed buckets.
-    pub fn relative_accuracy(&self) -> f64 {
-        wdispatch!(self, s => s.relative_accuracy())
-    }
-
-    /// Insert one occurrence of `value` at weight 1.
-    pub fn add(&mut self, value: f64) -> Result<(), SketchError> {
-        wdispatch!(self, s => s.add_with_count(value, 1.0))
-    }
-
-    /// Insert `value` with a (possibly fractional) weight; see
-    /// [`crate::DDSketch::add_with_count`].
-    pub fn add_with_count(&mut self, value: f64, count: f64) -> Result<(), SketchError> {
-        wdispatch!(self, s => s.add_with_count(value, count))
-    }
-
-    /// Bulk-insert `(value, weight)` pairs atomically; see
-    /// [`crate::DDSketch::add_weighted_slice`].
-    pub fn add_weighted_slice(&mut self, pairs: &[(f64, f64)]) -> Result<(), SketchError> {
-        wdispatch!(self, s => s.add_weighted_slice(pairs))
-    }
-
-    /// Estimate the q-quantile of the weighted multiset; see
-    /// [`crate::DDSketch::weighted_quantile`].
-    pub fn quantile(&self, q: f64) -> Result<f64, SketchError> {
-        wdispatch!(self, s => s.weighted_quantile(q))
-    }
-
-    /// Estimate several quantiles; output order matches input order.
-    pub fn quantiles(&self, qs: &[f64]) -> Result<Vec<f64>, SketchError> {
-        wdispatch!(self, s => s.weighted_quantiles(qs))
-    }
-
-    /// [`AnyWeightedDDSketch::quantiles`] into a caller-owned buffer —
-    /// the allocation-free query form (on the dense store families the
-    /// walk touches no heap). On error `out`'s contents are unspecified.
-    pub fn quantiles_into(&self, qs: &[f64], out: &mut Vec<f64>) -> Result<(), SketchError> {
-        out.clear();
-        out.reserve(qs.len());
-        for &q in qs {
-            out.push(wdispatch!(self, s => s.weighted_quantile(q))?);
-        }
-        Ok(())
-    }
-
-    /// Merge another weighted sketch into this one (same-variant only).
-    pub fn merge_from(&mut self, other: &Self) -> Result<(), SketchError> {
-        match (self, other) {
-            (AnyWeightedDDSketch::Unbounded(a), AnyWeightedDDSketch::Unbounded(b)) => {
-                a.merge_from(b)
-            }
-            (AnyWeightedDDSketch::Bounded(a), AnyWeightedDDSketch::Bounded(b)) => a.merge_from(b),
-            (AnyWeightedDDSketch::Fast(a), AnyWeightedDDSketch::Fast(b)) => a.merge_from(b),
-            (AnyWeightedDDSketch::Sparse(a), AnyWeightedDDSketch::Sparse(b)) => a.merge_from(b),
-            (AnyWeightedDDSketch::PaperExact(a), AnyWeightedDDSketch::PaperExact(b)) => {
-                a.merge_from(b)
-            }
-            (a, b) => Err(SketchError::IncompatibleMerge(format!(
-                "store/mapping mismatch: {:?} vs {:?}",
-                a.config(),
-                b.config()
-            ))),
-        }
-    }
-
-    /// Subtract another weighted sketch bucket-by-bucket, flooring at
-    /// zero; see [`crate::DDSketch::sub_sketch`].
-    pub fn sub_sketch(&mut self, other: &Self) -> Result<(), SketchError> {
-        match (self, other) {
-            (AnyWeightedDDSketch::Unbounded(a), AnyWeightedDDSketch::Unbounded(b)) => {
-                a.sub_sketch(b)
-            }
-            (AnyWeightedDDSketch::Bounded(a), AnyWeightedDDSketch::Bounded(b)) => a.sub_sketch(b),
-            (AnyWeightedDDSketch::Fast(a), AnyWeightedDDSketch::Fast(b)) => a.sub_sketch(b),
-            (AnyWeightedDDSketch::Sparse(a), AnyWeightedDDSketch::Sparse(b)) => a.sub_sketch(b),
-            (AnyWeightedDDSketch::PaperExact(a), AnyWeightedDDSketch::PaperExact(b)) => {
-                a.sub_sketch(b)
-            }
-            (a, b) => Err(SketchError::IncompatibleMerge(format!(
-                "store/mapping mismatch: {:?} vs {:?}",
-                a.config(),
-                b.config()
-            ))),
-        }
-    }
-
-    /// Scale every stored weight by `factor` — ingest-time exponential
-    /// decay; see [`crate::DDSketch::scale_counts`].
-    pub fn scale_counts(&mut self, factor: f64) -> Result<(), SketchError> {
-        wdispatch!(self, s => s.scale_counts(factor))
-    }
-
-    /// Total stored weight.
-    pub fn weighted_count(&self) -> f64 {
-        wdispatch!(self, s => s.weighted_count())
-    }
-
-    /// Weight in the exact zero bucket.
-    pub fn zero_weight(&self) -> f64 {
-        wdispatch!(self, s => s.zero_weight())
-    }
-
-    /// Whether the sketch holds no weight.
-    pub fn is_empty(&self) -> bool {
-        wdispatch!(self, s => s.is_empty())
-    }
-
-    /// Exact weighted sum of inserted values.
-    pub fn sum(&self) -> f64 {
-        wdispatch!(self, s => s.sum())
-    }
-
-    /// Exact weighted mean, or `None` if empty.
-    pub fn average(&self) -> Option<f64> {
-        wdispatch!(self, s => s.average())
-    }
-
-    /// The tracked minimum; see [`crate::DDSketch::min`].
-    pub fn min(&self) -> Option<f64> {
-        wdispatch!(self, s => s.min())
-    }
-
-    /// The tracked maximum; see [`crate::DDSketch::max`].
-    pub fn max(&self) -> Option<f64> {
-        wdispatch!(self, s => s.max())
-    }
-
-    /// Number of non-empty buckets plus the zero bucket.
-    pub fn num_bins(&self) -> usize {
-        wdispatch!(self, s => s.num_bins())
-    }
-
-    /// Whether any store has collapsed buckets (Proposition 4).
-    pub fn has_collapsed(&self) -> bool {
-        wdispatch!(self, s => s.has_collapsed())
-    }
-
-    /// Reset to empty, retaining allocations and configuration.
-    pub fn clear(&mut self) {
-        wdispatch!(self, s => s.clear())
-    }
-
-    /// Structural memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        wdispatch!(self, s => s.memory_bytes())
-    }
-
-    /// Positive-store bins in ascending index order.
-    pub fn positive_bins(&self) -> Vec<(i32, f64)> {
-        wdispatch!(self, s => s.positive_store().bins_ascending())
-    }
-
-    /// Negative-store bins in ascending index order (of `|x|`).
-    pub fn negative_bins(&self) -> Vec<(i32, f64)> {
-        wdispatch!(self, s => s.negative_store().bins_ascending())
-    }
-
-    /// Internal: bulk-absorb raw weighted state with union-merge
-    /// semantics — the weighted mirror of [`AnyDDSketch::absorb_raw`],
-    /// used by the codec's weighted decode/feed paths.
-    pub(crate) fn absorb_raw(
-        &mut self,
-        zero_count: f64,
-        min: f64,
-        max: f64,
-        sum: f64,
-        pos_bins: &[(i32, f64)],
-        neg_bins: &[(i32, f64)],
-    ) {
-        wdispatch!(self, s => s.absorb_bins(zero_count, min, max, sum, pos_bins, neg_bins))
-    }
-
-    /// Internal: bulk-load decoded weighted state (exact overwrite, not a
-    /// fold) — the weighted mirror of the codec's `rebuild` path.
-    pub(crate) fn load_raw(
-        &mut self,
-        zero_count: f64,
-        min: f64,
-        max: f64,
-        sum: f64,
-        pos_bins: &[(i32, f64)],
-        neg_bins: &[(i32, f64)],
-    ) {
-        wdispatch!(self, s => s.load(zero_count, min, max, sum, pos_bins, neg_bins))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::DDSketchBuilder;
+    use crate::presets;
 
     // The exhaustive config-matrix properties (bit-identity against every
     // preset, batched-vs-scalar equivalence, cross-variant merge

@@ -449,7 +449,7 @@ impl<M: IndexMapping> AtomicDDSketch<M> {
 
 impl<M: IndexMapping> WeightedAtomicDDSketch<M> {
     /// Absorb a weighted sketch's contents — the weighted mirror of
-    /// [`AtomicDDSketch::absorb`] on the integer plane. The donor must
+    /// [`AnyAtomicDDSketch::absorb`] on the integer plane. The donor must
     /// share this sketch's configuration.
     pub fn absorb_weighted(&self, other: &AnyWeightedDDSketch) -> Result<(), SketchError> {
         if other.config() != self.config {

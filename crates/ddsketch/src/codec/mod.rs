@@ -5,9 +5,9 @@
 //! monitoring system every few seconds (paper Figure 1), so the codec is
 //! built for the *aggregator's* economics, not just the producer's:
 //!
-//! * [`SketchPayload`] + [`AnyDDSketch::decode`] — the materializing
+//! * [`SketchPayloadOf`] + [`AnyDDSketchOf::decode`] — the materializing
 //!   path: reconstruct a full sketch from bytes (self-describing, no
-//!   caller-side type knowledge).
+//!   caller-side type knowledge), on either count plane.
 //! * [`SketchView`] — the decode-free path: a validated, zero-allocation
 //!   **borrowed view** over the bytes exposing the same header accessors
 //!   and bin walks as a live sketch. Views join the merge plane through
@@ -61,15 +61,24 @@
 //! weighted counts in place of varint counts. Bin weights must be finite
 //! and strictly positive, the zero-bucket weight finite and non-negative,
 //! and every per-section and whole-payload total finite — NaN, infinite,
-//! and negative counts are structural corruption ([`SketchError::
-//! Malformed`]), enforced identically by [`SketchView::parse`] and
-//! [`WeightedSketchPayload::decode`]. Because the escape's raw `f64`
-//! bytes are opaque to LEB128 boundary recovery, weighted bin walks are
-//! **forward-only** (descending walks materialize through a scratch
-//! buffer). [`SketchPayload::decode`] deliberately rejects `DDS3`
-//! (integer receivers cannot hold fractional weights);
-//! [`WeightedSketchPayload::decode`] and [`SketchView::parse`] accept all
-//! three dialects.
+//! and negative counts are structural corruption
+//! ([`SketchError::Malformed`]), enforced identically by
+//! [`SketchView::parse`] and the weighted payload decoder. Because the
+//! escape's raw `f64` bytes are opaque to LEB128 boundary recovery,
+//! weighted bin walks are **forward-only** (descending walks materialize
+//! through a scratch buffer).
+//!
+//! One plain-data payload type, [`SketchPayloadOf<C>`], carries both
+//! dialects; its count type picks the dialect through [`CountPlane`]. The
+//! integer instantiation [`SketchPayload`] encodes `DDS2` and decodes
+//! `DDS1`/`DDS2` with a fused varint decoder, deliberately rejecting
+//! `DDS3` (integer receivers cannot hold fractional weights). The weighted
+//! instantiation [`WeightedSketchPayload`] encodes `DDS3` and decodes all
+//! three dialects (integer counts widen exactly) as a [`SketchView::parse`]
+//! plus a bulk bin transfer, so its acceptance set is the view's by
+//! construction. [`AnyDDSketchOf::decode`] and [`AnyDDSketchOf::encode`]
+//! follow the same split for the [`AnyDDSketch`] and
+//! [`AnyWeightedDDSketch`] instantiations.
 //!
 //! Decoders never trust a declared length: bin counts are clamped against
 //! the bytes actually present before any allocation, dense-store growth
@@ -119,18 +128,19 @@ pub mod view;
 pub use frame::{
     FrameDecoder, FrameReader, FrameWriter, DEFAULT_MAX_FRAME_LEN, FRAME_STREAM_VERSION,
 };
-pub use source::{SketchSource, SourceQuantileScratch, WeightedMergeScratch};
+pub use source::{SketchSource, SourceQuantileScratch};
 pub use view::{SketchView, SketchViewMeta, ViewBinIter, WeightedViewBinIter};
 
 use bytes::{Buf, BufMut};
 
-use crate::any::AnyDDSketch;
+use crate::any::{dispatch, AnyDDSketch, AnyDDSketchOf, AnyWeightedDDSketch};
+use crate::config::SketchConfig;
 use crate::mapping::{IndexMapping, MappingKind};
 use crate::presets::{
     BoundedDDSketch, FastDDSketch, PaperExactDDSketch, SparseDDSketch, UnboundedDDSketch,
 };
 use crate::sketch::DDSketch;
-use crate::store::{Store, StoreKind};
+use crate::store::{Count, PlainCell, Store, StoreKind};
 use sketch_core::SketchError;
 use varint::{get_varint, put_varint, unzigzag, zigzag};
 
@@ -138,12 +148,14 @@ pub(crate) const MAGIC_V1: &[u8; 4] = b"DDS1";
 pub(crate) const MAGIC: &[u8; 4] = b"DDS2";
 pub(crate) const MAGIC_V3: &[u8; 4] = b"DDS3";
 
-/// Mapping-agnostic serializable snapshot of a sketch's state.
+/// Mapping-agnostic serializable snapshot of a sketch's state, counting
+/// in `C`. Use the [`SketchPayload`] (`u64`, the `DDS2` dialect) and
+/// [`WeightedSketchPayload`] (`f64`, the `DDS3` dialect) names.
 ///
 /// Any `DDSketch` converts to a payload with [`DDSketch::to_payload`], and
 /// each preset converts back via its `from_payload` constructor — or, when
 /// the concrete type is only known at runtime, via
-/// [`AnyDDSketch::from_payload`], which dispatches on the mapping and
+/// [`AnyDDSketchOf::from_payload`], which dispatches on the mapping and
 /// store discriminants. (The offline build has no `serde`; the plain-data
 /// payload struct is the integration point where a serde derive would go.)
 ///
@@ -151,7 +163,7 @@ pub(crate) const MAGIC_V3: &[u8; 4] = b"DDS3";
 /// be *read* — merged, queried, forwarded — prefer [`SketchView`], which
 /// borrows them in place.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SketchPayload {
+pub struct SketchPayloadOf<C> {
     /// Mapping family discriminant ([`MappingKind`] as u8).
     pub kind: u8,
     /// Store family discriminant ([`StoreKind`] as u8). For payloads read
@@ -162,21 +174,178 @@ pub struct SketchPayload {
     pub relative_accuracy: f64,
     /// Bucket limit of the positive store; 0 means unbounded.
     pub bin_limit: u64,
-    /// Exact zero-bucket count.
-    pub zero_count: u64,
+    /// Exact zero-bucket count (weight: finite, ≥ 0).
+    pub zero_count: C,
     /// Tracked minimum (`+∞` when empty).
     pub min: f64,
     /// Tracked maximum (`−∞` when empty).
     pub max: f64,
-    /// Exact sum of inserted values.
+    /// Exact (weighted) sum of inserted values.
     pub sum: f64,
-    /// Positive-store bins, ascending index.
-    pub positive: Vec<(i32, u64)>,
+    /// Positive-store bins, ascending index; counts non-zero (weights
+    /// finite and > 0).
+    pub positive: Vec<(i32, C)>,
     /// Negative-store bins, ascending index (of |x|).
-    pub negative: Vec<(i32, u64)>,
+    pub negative: Vec<(i32, C)>,
 }
 
-fn put_bins(buf: &mut Vec<u8>, bins: &[(i32, u64)]) {
+/// The integer payload: what `DDS1`/`DDS2` bytes decode into.
+pub type SketchPayload = SketchPayloadOf<u64>;
+
+/// The weighted payload: `DDS3` bytes, and integer dialects widened.
+pub type WeightedSketchPayload = SketchPayloadOf<f64>;
+
+/// A count type the runtime layers are instantiated over — `u64` (the
+/// paper's integer plane) or `f64` (the weighted plane). Everything the two
+/// planes share is written once over this bound; its items are the few
+/// operations whose algorithm really differs by count type: the wire
+/// dialect each plane speaks, and how staged payloads join a resident
+/// sketch.
+pub trait CountPlane: PlainCell {
+    /// Whether [`CountPlane::merged_quantiles_into`] walks staged payloads
+    /// in place (the integer plane's [`SketchSource`] rank walk). Without
+    /// one, a staged payload joins a query only through a fold, so
+    /// receivers fold before they read.
+    const WALKS_PAYLOADS: bool;
+
+    /// Whether `count` may stand in a payload's bin section. Weighted bins
+    /// must be finite and strictly positive. Every integer count passes:
+    /// the integer decoders reject zero-count bins at the byte boundary,
+    /// and the payload checks on that plane's decode, absorb, and fold
+    /// paths pay nothing per bin.
+    fn valid_bin(count: Self) -> bool;
+
+    /// Serialize in the plane's dialect: `DDS2` for `u64`, `DDS3` for
+    /// `f64`.
+    fn encode(payload: &SketchPayloadOf<Self>) -> Vec<u8>;
+
+    /// Decode `bytes` into `payload`, reusing its bin vectors' capacity.
+    /// The integer plane runs the fused varint decoder over `DDS1`/`DDS2`
+    /// (rejecting `DDS3`: integer receivers cannot hold fractional
+    /// weights); the weighted plane accepts all three dialects through the
+    /// view parser. On error, `payload`'s contents are unspecified.
+    fn decode_into(payload: &mut SketchPayloadOf<Self>, bytes: &[u8]) -> Result<(), SketchError>;
+
+    /// Fold admitted payloads into `resident`, in order: one bulk
+    /// `add_bins` pass per store per payload.
+    fn fold(
+        resident: &mut AnyDDSketchOf<Self>,
+        payloads: &[SketchPayloadOf<Self>],
+    ) -> Result<(), SketchError>;
+
+    /// Quantiles of `resident` ∪ `payloads` into `out`.
+    fn merged_quantiles_into(
+        resident: &AnyDDSketchOf<Self>,
+        payloads: &[SketchPayloadOf<Self>],
+        qs: &[f64],
+        scratch: &mut SourceQuantileScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<(), SketchError>;
+}
+
+impl CountPlane for u64 {
+    const WALKS_PAYLOADS: bool = true;
+
+    #[inline(always)]
+    fn valid_bin(_: u64) -> bool {
+        true
+    }
+
+    fn encode(payload: &SketchPayload) -> Vec<u8> {
+        encode_with(payload, MAGIC, put_varint)
+    }
+
+    fn decode_into(payload: &mut SketchPayload, bytes: &[u8]) -> Result<(), SketchError> {
+        payload.decode_inner_into(bytes, None)
+    }
+
+    fn fold(resident: &mut AnyDDSketch, payloads: &[SketchPayload]) -> Result<(), SketchError> {
+        resident.merge_sources(payloads.iter().map(SketchSource::Payload))
+    }
+
+    fn merged_quantiles_into(
+        resident: &AnyDDSketch,
+        payloads: &[SketchPayload],
+        qs: &[f64],
+        scratch: &mut SourceQuantileScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<(), SketchError> {
+        let sources = std::iter::once(SketchSource::Live(resident))
+            .chain(payloads.iter().map(SketchSource::Payload));
+        AnyDDSketch::merged_quantiles_sources(sources, qs, scratch, out)
+    }
+}
+
+impl CountPlane for f64 {
+    const WALKS_PAYLOADS: bool = false;
+
+    #[inline(always)]
+    fn valid_bin(count: f64) -> bool {
+        count.is_finite() && count > 0.0
+    }
+
+    fn encode(payload: &WeightedSketchPayload) -> Vec<u8> {
+        encode_with(payload, MAGIC_V3, varint::put_weighted_count)
+    }
+
+    /// The acceptance set is *identical* to [`SketchView::parse`] by
+    /// construction — a view parse plus a bulk bin transfer — keeping the
+    /// borrowed and owned weighted readers in lockstep.
+    fn decode_into(payload: &mut WeightedSketchPayload, bytes: &[u8]) -> Result<(), SketchError> {
+        let view = SketchView::parse(bytes)?;
+        payload.fill_from_view(&view);
+        Ok(())
+    }
+
+    fn fold(
+        resident: &mut AnyWeightedDDSketch,
+        payloads: &[WeightedSketchPayload],
+    ) -> Result<(), SketchError> {
+        payloads.iter().try_for_each(|p| resident.merge_payload(p))
+    }
+
+    /// Answers from `resident` alone when nothing is staged (the
+    /// allocation-free path); otherwise folds the payloads into a copy.
+    fn merged_quantiles_into(
+        resident: &AnyWeightedDDSketch,
+        payloads: &[WeightedSketchPayload],
+        qs: &[f64],
+        _scratch: &mut SourceQuantileScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<(), SketchError> {
+        if payloads.is_empty() {
+            return resident.quantiles_into(qs, out);
+        }
+        let mut union = resident.clone();
+        Self::fold(&mut union, payloads)?;
+        union.quantiles_into(qs, out)
+    }
+}
+
+/// Lay out a payload — magic, header, zero count, summary, both bin
+/// sections — writing every count with `put_count`, the one thing the
+/// `DDS2` and `DDS3` layouts disagree on.
+fn encode_with<C: Copy>(
+    payload: &SketchPayloadOf<C>,
+    magic: &[u8; 4],
+    put_count: impl Fn(&mut Vec<u8>, C),
+) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + 4 * (payload.positive.len() + payload.negative.len()));
+    buf.put_slice(magic);
+    buf.put_u8(payload.kind);
+    buf.put_u8(payload.store);
+    buf.put_f64_le(payload.relative_accuracy);
+    put_varint(&mut buf, payload.bin_limit);
+    put_count(&mut buf, payload.zero_count);
+    buf.put_f64_le(payload.min);
+    buf.put_f64_le(payload.max);
+    buf.put_f64_le(payload.sum);
+    put_bins(&mut buf, &payload.positive, &put_count);
+    put_bins(&mut buf, &payload.negative, &put_count);
+    buf
+}
+
+fn put_bins<C: Copy>(buf: &mut Vec<u8>, bins: &[(i32, C)], put_count: &impl Fn(&mut Vec<u8>, C)) {
     put_varint(buf, bins.len() as u64);
     let mut prev: Option<i32> = None;
     for &(idx, count) in bins {
@@ -187,7 +356,7 @@ fn put_bins(buf: &mut Vec<u8>, bins: &[(i32, u64)]) {
                 put_varint(buf, (idx as i64 - p as i64 - 1) as u64);
             }
         }
-        put_varint(buf, count);
+        put_count(buf, count);
         prev = Some(idx);
     }
 }
@@ -257,7 +426,12 @@ fn get_f64(buf: &mut &[u8]) -> Result<f64, SketchError> {
     Ok(buf.get_f64_le())
 }
 
-impl SketchPayload {
+/// Sum of one bin section's counts (payloads cache no totals).
+pub(crate) fn bins_total<C: Count>(bins: &[(i32, C)]) -> C {
+    bins.iter().fold(C::ZERO, |total, &(_, c)| total + c)
+}
+
+impl<C: Count> SketchPayloadOf<C> {
     /// Whether a sketch built from `config` could merge this payload:
     /// same mapping family, same store family, same relative accuracy α
     /// (to within float-print noise). A differing `max_bins` does **not**
@@ -266,47 +440,57 @@ impl SketchPayload {
     /// This is the shared admission predicate of every payload-staging
     /// receiver (the pipeline aggregator, the time-series store, the
     /// fleet server).
-    pub fn matches_config(&self, config: &crate::SketchConfig) -> bool {
-        self.kind == config.mapping as u8
-            && self.store == config.store as u8
-            && (self.relative_accuracy - config.alpha).abs() < 1e-12
+    pub fn matches_config(&self, config: &SketchConfig) -> bool {
+        admits(config, self.kind, self.store, self.relative_accuracy)
     }
 
-    /// Serialize to the compact binary wire format (always `DDS2`).
+    /// Total count (weight) the payload carries: the zero bucket plus both
+    /// bin sections.
+    pub fn total(&self) -> C {
+        self.zero_count + bins_total(&self.positive) + bins_total(&self.negative)
+    }
+}
+
+/// The payload admission predicate behind
+/// [`SketchPayloadOf::matches_config`], over raw header fields so views
+/// and payloads share it.
+pub(crate) fn admits(config: &SketchConfig, kind: u8, store: u8, alpha: f64) -> bool {
+    kind == config.mapping as u8
+        && store == config.store as u8
+        && (alpha - config.alpha).abs() < 1e-12
+}
+
+impl<C: CountPlane> SketchPayloadOf<C> {
+    /// Serialize to the plane's compact binary wire format (`DDS2` for
+    /// integer payloads, `DDS3` for weighted ones).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + 4 * (self.positive.len() + self.negative.len()));
-        buf.put_slice(MAGIC);
-        buf.put_u8(self.kind);
-        buf.put_u8(self.store);
-        buf.put_f64_le(self.relative_accuracy);
-        put_varint(&mut buf, self.bin_limit);
-        put_varint(&mut buf, self.zero_count);
-        buf.put_f64_le(self.min);
-        buf.put_f64_le(self.max);
-        buf.put_f64_le(self.sum);
-        put_bins(&mut buf, &self.positive);
-        put_bins(&mut buf, &self.negative);
-        buf
+        C::encode(self)
     }
 
-    /// Decode from the compact binary wire format, accepting both the
-    /// self-describing `DDS2` layout and legacy `DDS1` bytes (whose store
-    /// family is inferred by the heuristic in the module docs).
+    /// Decode from the compact binary wire format. Integer payloads accept
+    /// the self-describing `DDS2` layout and legacy `DDS1` bytes (whose
+    /// store family is inferred by the heuristic in the module docs);
+    /// weighted payloads accept all three dialects, integer counts
+    /// widened exactly.
     pub fn decode(bytes: &[u8]) -> Result<Self, SketchError> {
-        Self::decode_inner(bytes, None)
+        let mut payload = Self::default();
+        payload.decode_into(bytes)?;
+        Ok(payload)
     }
 
-    /// [`SketchPayload::decode`] into `self`, reusing the bin vectors'
+    /// [`SketchPayloadOf::decode`] into `self`, reusing the bin vectors'
     /// capacity — the ingest-loop form: a receiver recycling payload
     /// buffers decodes at steady state without touching the allocator
-    /// (this is how the pipeline's `Aggregator` stages pending frames).
+    /// (this is how the pipeline's aggregators stage pending frames).
     ///
     /// On error, `self`'s contents are unspecified (safe to reuse for the
     /// next decode, not safe to read).
     pub fn decode_into(&mut self, bytes: &[u8]) -> Result<(), SketchError> {
-        self.decode_inner_into(bytes, None)
+        C::decode_into(self, bytes)
     }
+}
 
+impl SketchPayload {
     /// Decode legacy `DDS1` bytes, overriding the heuristic store-family
     /// guess with what the caller knows the producer ran.
     ///
@@ -314,12 +498,8 @@ impl SketchPayload {
     /// byte is authoritative — overriding it would forge a payload) and
     /// when `store`'s boundedness contradicts the encoded bucket limit.
     pub fn decode_v1_as(store: StoreKind, bytes: &[u8]) -> Result<Self, SketchError> {
-        Self::decode_inner(bytes, Some(store))
-    }
-
-    fn decode_inner(bytes: &[u8], v1_store: Option<StoreKind>) -> Result<Self, SketchError> {
         let mut payload = Self::default();
-        payload.decode_inner_into(bytes, v1_store)?;
+        payload.decode_inner_into(bytes, Some(store))?;
         Ok(payload)
     }
 
@@ -417,123 +597,7 @@ impl SketchPayload {
     }
 }
 
-impl Default for SketchPayload {
-    /// The canonical **empty** payload (zero counts, `min = +∞`,
-    /// `max = −∞`, `sum = 0`), mainly useful as a reusable buffer for
-    /// [`SketchPayload::decode_into`]. The configuration fields are
-    /// placeholders (`kind`/`store` 0, `relative_accuracy` 0) that do not
-    /// name a buildable sketch until a decode fills them.
-    fn default() -> Self {
-        Self {
-            kind: 0,
-            store: 0,
-            relative_accuracy: 0.0,
-            bin_limit: 0,
-            zero_count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-            positive: Vec::new(),
-            negative: Vec::new(),
-        }
-    }
-}
-
-/// Mapping-agnostic serializable snapshot of a **weighted** (`f64`-counted)
-/// sketch — the plain-data twin of [`SketchPayload`] for the `DDS3`
-/// dialect.
-///
-/// Encoding always emits `DDS3`; decoding accepts all three dialects
-/// (integer counts widen exactly to `f64`), so a weighted receiver drains
-/// a mixed fleet without routing on the magic. The acceptance set is
-/// *identical* to [`SketchView::parse`] by construction — decode is
-/// implemented as a view parse plus a bulk bin transfer — keeping the
-/// borrowed and owned weighted readers in lockstep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedSketchPayload {
-    /// Mapping family discriminant ([`MappingKind`] as u8).
-    pub kind: u8,
-    /// Store family discriminant ([`StoreKind`] as u8); a documented guess
-    /// for payloads read from legacy `DDS1` bytes.
-    pub store: u8,
-    /// Relative accuracy α.
-    pub relative_accuracy: f64,
-    /// Bucket limit of the positive store; 0 means unbounded.
-    pub bin_limit: u64,
-    /// Zero-bucket weight (finite, ≥ 0).
-    pub zero_count: f64,
-    /// Tracked minimum (`+∞` when empty).
-    pub min: f64,
-    /// Tracked maximum (`−∞` when empty).
-    pub max: f64,
-    /// Weighted sum of inserted values.
-    pub sum: f64,
-    /// Positive-store bins, ascending index; weights finite and > 0.
-    pub positive: Vec<(i32, f64)>,
-    /// Negative-store bins, ascending index (of |x|).
-    pub negative: Vec<(i32, f64)>,
-}
-
-fn put_weighted_bins(buf: &mut Vec<u8>, bins: &[(i32, f64)]) {
-    put_varint(buf, bins.len() as u64);
-    let mut prev: Option<i32> = None;
-    for &(idx, count) in bins {
-        match prev {
-            None => put_varint(buf, zigzag(idx as i64)),
-            Some(p) => {
-                debug_assert!(idx > p, "bins must be strictly ascending");
-                put_varint(buf, (idx as i64 - p as i64 - 1) as u64);
-            }
-        }
-        varint::put_weighted_count(buf, count);
-        prev = Some(idx);
-    }
-}
-
 impl WeightedSketchPayload {
-    /// Whether a sketch built from `config` could merge this payload —
-    /// the same admission predicate as [`SketchPayload::matches_config`]
-    /// (`max_bins` deliberately not compared).
-    pub fn matches_config(&self, config: &crate::SketchConfig) -> bool {
-        self.kind == config.mapping as u8
-            && self.store == config.store as u8
-            && (self.relative_accuracy - config.alpha).abs() < 1e-12
-    }
-
-    /// Serialize to the compact binary wire format (always `DDS3`).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + 4 * (self.positive.len() + self.negative.len()));
-        buf.put_slice(MAGIC_V3);
-        buf.put_u8(self.kind);
-        buf.put_u8(self.store);
-        buf.put_f64_le(self.relative_accuracy);
-        put_varint(&mut buf, self.bin_limit);
-        varint::put_weighted_count(&mut buf, self.zero_count);
-        buf.put_f64_le(self.min);
-        buf.put_f64_le(self.max);
-        buf.put_f64_le(self.sum);
-        put_weighted_bins(&mut buf, &self.positive);
-        put_weighted_bins(&mut buf, &self.negative);
-        buf
-    }
-
-    /// Decode any dialect (`DDS1`/`DDS2`/`DDS3`); integer counts widen
-    /// exactly. Accepts a byte string iff [`SketchView::parse`] does.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SketchError> {
-        let mut payload = Self::default();
-        payload.decode_into(bytes)?;
-        Ok(payload)
-    }
-
-    /// [`WeightedSketchPayload::decode`] into `self`, reusing the bin
-    /// vectors' capacity — the weighted ingest-loop form. On error,
-    /// `self`'s contents are unspecified.
-    pub fn decode_into(&mut self, bytes: &[u8]) -> Result<(), SketchError> {
-        let view = SketchView::parse(bytes)?;
-        self.fill_from_view(&view);
-        Ok(())
-    }
-
     /// Populate from an already-parsed view (no further validation — the
     /// parse did it all).
     pub(crate) fn fill_from_view(&mut self, view: &SketchView<'_>) {
@@ -554,17 +618,19 @@ impl WeightedSketchPayload {
     }
 }
 
-impl Default for WeightedSketchPayload {
-    /// The canonical **empty** weighted payload, mainly useful as a
-    /// reusable buffer for [`WeightedSketchPayload::decode_into`]; the
-    /// configuration fields are placeholders until a decode fills them.
+impl<C: Count> Default for SketchPayloadOf<C> {
+    /// The canonical **empty** payload (zero counts, `min = +∞`,
+    /// `max = −∞`, `sum = 0`), mainly useful as a reusable buffer for
+    /// [`SketchPayloadOf::decode_into`]. The configuration fields are
+    /// placeholders (`kind`/`store` 0, `relative_accuracy` 0) that do not
+    /// name a buildable sketch until a decode fills them.
     fn default() -> Self {
         Self {
             kind: 0,
             store: 0,
             relative_accuracy: 0.0,
             bin_limit: 0,
-            zero_count: 0.0,
+            zero_count: C::ZERO,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             sum: 0.0,
@@ -574,51 +640,55 @@ impl Default for WeightedSketchPayload {
     }
 }
 
-/// Weighted mirror of [`validate_summary`]: weights must be *valid*
-/// (bins finite and strictly positive, zero bucket finite and
-/// non-negative, total finite — `NaN`/`±∞`/negative weights are
-/// structural corruption) and the summary consistent with the total.
-/// Applied when a hand-built payload becomes a live sketch; byte decodes
-/// get the identical rules from [`SketchView::parse`].
-pub(crate) fn validate_weighted_summary(
-    payload: &WeightedSketchPayload,
+/// A payload's counts and summary must be consistent before it may become
+/// (or join) a live sketch. The zero-bucket count must be *valid*
+/// ([`Count::is_valid`]: a finite, non-negative weight), every bin count
+/// pass [`CountPlane::valid_bin`], and the total be representable; a
+/// corrupt `min > max` would make the quantile clamp
+/// panic, and a non-empty summary on a zero-count payload would poison the
+/// extremes of whatever it later merges into. Live encoders can only
+/// produce consistent payloads, so rejection (as
+/// [`SketchError::Malformed`]) never loses a real one; the [`SketchView`]
+/// parser enforces the identical rules, keeping the readers in lockstep.
+pub(crate) fn validate_summary<C: CountPlane>(
+    payload: &SketchPayloadOf<C>,
 ) -> Result<(), SketchError> {
     let zero = payload.zero_count;
-    if !zero.is_finite() || zero < 0.0 {
+    if !zero.is_valid() {
         return Err(SketchError::Malformed(format!(
-            "zero-bucket weight {zero} is not finite and non-negative"
+            "zero-bucket count {zero:?} is not finite and non-negative"
         )));
     }
     let mut count = zero;
     for &(_, c) in payload.positive.iter().chain(&payload.negative) {
-        if !c.is_finite() || c <= 0.0 {
+        if !C::valid_bin(c) {
             return Err(SketchError::Malformed(format!(
-                "bin weight {c} is not finite and positive"
+                "bin count {c:?} is not finite and positive"
             )));
         }
-        count += c;
-    }
-    if !count.is_finite() {
-        return Err(SketchError::Malformed("total weight overflow".into()));
+        count = count
+            .checked_add(c)
+            .ok_or_else(|| SketchError::Malformed("total count overflow".into()))?;
     }
     let (min, max, sum) = (payload.min, payload.max, payload.sum);
-    let consistent = if count == 0.0 {
+    let consistent = if count == C::ZERO {
+        // The canonical empty state, exactly as every encoder writes it.
         min == f64::INFINITY && max == f64::NEG_INFINITY && sum == 0.0
     } else {
         min.is_finite() && max.is_finite() && min <= max && !sum.is_nan()
     };
     if !consistent {
         return Err(SketchError::Malformed(format!(
-            "summary (min {min}, max {max}, sum {sum}) is inconsistent with weight {count}"
+            "summary (min {min}, max {max}, sum {sum}) is inconsistent with count {count:?}"
         )));
     }
     Ok(())
 }
 
-impl<M: IndexMapping, SP: Store<Count = f64>, SN: Store<Count = f64>> DDSketch<M, SP, SN> {
-    /// Snapshot this weighted sketch into a serializable payload.
-    pub fn to_weighted_payload(&self) -> WeightedSketchPayload {
-        WeightedSketchPayload {
+impl<M: IndexMapping, SP: Store, SN: Store<Count = SP::Count>> DDSketch<M, SP, SN> {
+    /// Snapshot this sketch into a serializable payload.
+    pub fn to_payload(&self) -> SketchPayloadOf<SP::Count> {
+        SketchPayloadOf {
             kind: self.mapping().kind() as u8,
             store: self.positive_store().store_kind() as u8,
             relative_accuracy: self.mapping().relative_accuracy(),
@@ -632,39 +702,38 @@ impl<M: IndexMapping, SP: Store<Count = f64>, SN: Store<Count = f64>> DDSketch<M
         }
     }
 
-    /// Serialize to the `DDS3` wire format.
-    pub fn encode_weighted(&self) -> Vec<u8> {
-        self.to_weighted_payload().encode()
+    /// Serialize to the compact binary wire format of the sketch's count
+    /// plane (`DDS2` or `DDS3`).
+    pub fn encode(&self) -> Vec<u8>
+    where
+        SP::Count: CountPlane,
+    {
+        self.to_payload().encode()
     }
 }
 
-impl crate::any::AnyWeightedDDSketch {
-    /// Snapshot into a serializable weighted payload.
-    pub fn to_weighted_payload(&self) -> WeightedSketchPayload {
-        let config = self.config();
-        WeightedSketchPayload {
-            kind: config.mapping as u8,
-            store: config.store as u8,
-            relative_accuracy: config.alpha,
-            bin_limit: config.max_bins as u64,
-            zero_count: self.zero_weight(),
-            min: self.min().unwrap_or(f64::INFINITY),
-            max: self.max().unwrap_or(f64::NEG_INFINITY),
-            sum: self.sum(),
-            positive: self.positive_bins(),
-            negative: self.negative_bins(),
-        }
+impl<C: CountPlane> AnyDDSketchOf<C> {
+    /// Snapshot into a serializable payload (dispatching to the wrapped
+    /// preset).
+    pub fn to_payload(&self) -> SketchPayloadOf<C> {
+        dispatch!(self, s => s.to_payload())
     }
 
-    /// Serialize to the self-describing `DDS3` wire format.
+    /// Serialize to the self-describing wire format of the plane (`DDS2`
+    /// or `DDS3`).
     pub fn encode(&self) -> Vec<u8> {
-        self.to_weighted_payload().encode()
+        self.to_payload().encode()
     }
 
-    /// Reconstruct the right weighted variant from a payload, dispatching
-    /// on the mapping and store discriminants — the weighted mirror of
-    /// [`AnyDDSketch::from_payload`].
-    pub fn from_weighted_payload(payload: &WeightedSketchPayload) -> Result<Self, SketchError> {
+    /// Reconstruct the right sketch variant from a payload — the
+    /// self-describing decode path: the payload's mapping and store
+    /// discriminants select the variant, so the caller needs no
+    /// compile-time knowledge of what produced the bytes.
+    ///
+    /// The payload is validated first (counts, summary, dense growth):
+    /// payloads decoded from bytes already hold these invariants, but this
+    /// also accepts hand-built ones.
+    pub fn from_payload(payload: &SketchPayloadOf<C>) -> Result<Self, SketchError> {
         let mapping = MappingKind::from_u8(payload.kind)?;
         let store = StoreKind::from_u8(payload.store)?;
         if store.is_bounded() != (payload.bin_limit > 0) {
@@ -674,20 +743,16 @@ impl crate::any::AnyWeightedDDSketch {
                 payload.bin_limit
             )));
         }
-        validate_weighted_summary(payload)?;
-        validate_dense_growth(
-            store,
-            payload.bin_limit,
-            side_span(&payload.positive),
-            side_span(&payload.negative),
-        )?;
-        let config = crate::SketchConfig {
+        source::variant_of(mapping, store)?;
+        let config = SketchConfig {
             alpha: payload.relative_accuracy,
             mapping,
             store,
             max_bins: usize::try_from(payload.bin_limit)
                 .map_err(|_| SketchError::Decode("bin_limit exceeds usize".into()))?,
         };
+        config.validate()?;
+        validate_payload(payload, store)?;
         let mut sketch = Self::new(config)?;
         sketch.load_raw(
             payload.zero_count,
@@ -700,26 +765,20 @@ impl crate::any::AnyWeightedDDSketch {
         Ok(sketch)
     }
 
-    /// Decode any dialect (`DDS1`/`DDS2`/`DDS3`) into whichever weighted
-    /// variant the bytes describe; integer counts widen exactly.
+    /// Decode from the plane's wire format, reconstructing whichever
+    /// variant was encoded: `DDS2` (with legacy `DDS1` fallback) on the
+    /// integer plane, any dialect on the weighted plane.
     pub fn decode(bytes: &[u8]) -> Result<Self, SketchError> {
-        Self::from_weighted_payload(&WeightedSketchPayload::decode(bytes)?)
+        Self::from_payload(&SketchPayloadOf::decode(bytes)?)
     }
 
-    /// Absorb one weighted payload into this sketch — the staged-payload
-    /// merge path of the weighted aggregation plane (one bulk `add_bins`
-    /// pass per store, no intermediate sketch, no allocation beyond store
-    /// growth).
+    /// Absorb one payload into this sketch without materializing a sketch
+    /// for it (one bulk `add_bins` pass per store).
     ///
-    /// The payload is re-validated here (weights, summary, dense growth):
-    /// payloads decoded from bytes already hold these invariants, but
-    /// this method also accepts hand-built ones, and a corrupt summary
-    /// must never poison a resident sketch. The admission predicate is
-    /// [`WeightedSketchPayload::matches_config`].
-    pub fn merge_weighted_payload(
-        &mut self,
-        payload: &WeightedSketchPayload,
-    ) -> Result<(), SketchError> {
+    /// The payload must pass [`SketchPayloadOf::matches_config`] and is
+    /// re-validated here (counts, summary, dense growth): a corrupt
+    /// hand-built payload must never poison a resident sketch.
+    pub fn merge_payload(&mut self, payload: &SketchPayloadOf<C>) -> Result<(), SketchError> {
         let config = self.config();
         if !payload.matches_config(&config) {
             return Err(SketchError::IncompatibleMerge(format!(
@@ -727,13 +786,7 @@ impl crate::any::AnyWeightedDDSketch {
                 payload.kind, payload.store, payload.relative_accuracy
             )));
         }
-        validate_weighted_summary(payload)?;
-        validate_dense_growth(
-            config.store,
-            payload.bin_limit,
-            side_span(&payload.positive),
-            side_span(&payload.negative),
-        )?;
+        validate_payload(payload, config.store)?;
         self.absorb_raw(
             payload.zero_count,
             payload.min,
@@ -746,91 +799,27 @@ impl crate::any::AnyWeightedDDSketch {
     }
 }
 
-impl<M: IndexMapping, SP: Store<Count = u64>, SN: Store<Count = u64>> DDSketch<M, SP, SN> {
-    /// Snapshot this sketch into a serializable payload.
-    pub fn to_payload(&self) -> SketchPayload {
-        SketchPayload {
-            kind: self.mapping().kind() as u8,
-            store: self.positive_store().store_kind() as u8,
-            relative_accuracy: self.mapping().relative_accuracy(),
-            bin_limit: self.positive_store().bin_limit().unwrap_or(0) as u64,
-            zero_count: self.zero_count(),
-            min: self.min().unwrap_or(f64::INFINITY),
-            max: self.max().unwrap_or(f64::NEG_INFINITY),
-            sum: self.sum(),
-            positive: self.positive_store().bins_ascending(),
-            negative: self.negative_store().bins_ascending(),
-        }
-    }
-
-    /// Serialize to the compact binary wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        self.to_payload().encode()
-    }
+/// [`validate_summary`] plus the [`MAX_DECODE_DENSE_SPAN`] ceiling for a
+/// payload headed at a store of `kind`.
+fn validate_payload<C: CountPlane>(
+    payload: &SketchPayloadOf<C>,
+    kind: StoreKind,
+) -> Result<(), SketchError> {
+    validate_summary(payload)?;
+    validate_dense_growth(
+        kind,
+        payload.bin_limit,
+        side_span(&payload.positive),
+        side_span(&payload.negative),
+    )
 }
 
 impl AnyDDSketch {
-    /// Snapshot into a serializable payload (dispatching to the wrapped
-    /// preset).
-    pub fn to_payload(&self) -> SketchPayload {
-        crate::any::dispatch!(self, s => s.to_payload())
-    }
-
-    /// Serialize to the self-describing `DDS2` wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        self.to_payload().encode()
-    }
-
-    /// Reconstruct the right sketch variant from a payload — the
-    /// self-describing decode path: the payload's mapping and store
-    /// discriminants select the variant, so the caller needs no
-    /// compile-time knowledge of what produced the bytes.
-    pub fn from_payload(payload: &SketchPayload) -> Result<Self, SketchError> {
-        let mapping = MappingKind::from_u8(payload.kind)?;
-        let store = StoreKind::from_u8(payload.store)?;
-        if store.is_bounded() != (payload.bin_limit > 0) {
-            return Err(SketchError::Decode(format!(
-                "{} store with bin_limit {} is inconsistent",
-                store.name(),
-                payload.bin_limit
-            )));
-        }
-        Ok(match (mapping, store) {
-            (MappingKind::Logarithmic, StoreKind::Unbounded) => {
-                AnyDDSketch::Unbounded(UnboundedDDSketch::from_payload(payload)?)
-            }
-            (MappingKind::Logarithmic, StoreKind::CollapsingDense) => {
-                AnyDDSketch::Bounded(BoundedDDSketch::from_payload(payload)?)
-            }
-            (MappingKind::CubicInterpolated, StoreKind::CollapsingDense) => {
-                AnyDDSketch::Fast(FastDDSketch::from_payload(payload)?)
-            }
-            (MappingKind::Logarithmic, StoreKind::Sparse) => {
-                AnyDDSketch::Sparse(SparseDDSketch::from_payload(payload)?)
-            }
-            (MappingKind::Logarithmic, StoreKind::CollapsingSparse) => {
-                AnyDDSketch::PaperExact(PaperExactDDSketch::from_payload(payload)?)
-            }
-            (mapping, store) => {
-                return Err(SketchError::Decode(format!(
-                    "no sketch variant for {mapping:?} mapping with {} store",
-                    store.name()
-                )))
-            }
-        })
-    }
-
-    /// Decode from the compact binary wire format (`DDS2`, with legacy
-    /// `DDS1` fallback), reconstructing whichever variant was encoded.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SketchError> {
-        Self::from_payload(&SketchPayload::decode(bytes)?)
-    }
-
     /// Decode legacy `DDS1` bytes as a *known* store family, overriding
     /// the documented heuristic.
     ///
-    /// v1 payloads carry no store byte, so [`AnyDDSketch::decode`] has to
-    /// guess — and the guess is provably wrong for v1 sparse and
+    /// v1 payloads carry no store byte, so [`AnyDDSketchOf::decode`] has
+    /// to guess — and the guess is provably wrong for v1 sparse and
     /// paper-exact producers. A caller who knows what the producing fleet
     /// ran (the usual situation during a v1 → v2 migration) can pin the
     /// family here: `decode_v1_as(StoreKind::Sparse, bytes)` reconstructs
@@ -843,13 +832,14 @@ impl AnyDDSketch {
     }
 }
 
-/// Shared reconstruction logic for `from_payload` implementations.
+/// Shared reconstruction logic for the preset `from_payload`
+/// implementations.
 ///
 /// Validates the mapping discriminant and boundedness but deliberately
 /// **not** the store discriminant: a caller reaching for a concrete preset
 /// type has already decided the store family, and legacy `DDS1` payloads
 /// only carry a guessed one (see the module docs). Runtime store dispatch
-/// belongs to [`AnyDDSketch::from_payload`], where the byte is
+/// belongs to [`AnyDDSketchOf::from_payload`], where the byte is
 /// authoritative.
 fn rebuild<M: IndexMapping, SP: Store<Count = u64>, SN: Store<Count = u64>>(
     payload: &SketchPayload,
@@ -864,15 +854,9 @@ fn rebuild<M: IndexMapping, SP: Store<Count = u64>, SN: Store<Count = u64>>(
             mapping.kind()
         )));
     }
-    validate_summary(payload)?;
     // The *target* store family governs the growth ceiling here (preset
     // decodes deliberately ignore the payload's store byte).
-    validate_dense_growth(
-        positive.store_kind(),
-        payload.bin_limit,
-        side_span(&payload.positive),
-        side_span(&payload.negative),
-    )?;
+    validate_payload(payload, positive.store_kind())?;
     let mut sketch = DDSketch::from_parts(mapping, positive, negative);
     sketch.load(
         payload.zero_count,
@@ -883,36 +867,6 @@ fn rebuild<M: IndexMapping, SP: Store<Count = u64>, SN: Store<Count = u64>>(
         &payload.negative,
     );
     Ok(sketch)
-}
-
-/// A payload's summary must be consistent with its counts before it may
-/// become a live sketch: a corrupt `min > max` would make the quantile
-/// clamp panic, and a non-empty summary on a zero-count payload would
-/// poison the extremes of whatever it later merges into. Live encoders
-/// can only produce consistent summaries, so rejection (as
-/// [`SketchError::Malformed`]) never loses a real payload; the
-/// [`SketchView`] parser enforces the identical rule, keeping the two
-/// readers in lockstep.
-pub(crate) fn validate_summary(payload: &SketchPayload) -> Result<(), SketchError> {
-    let mut count = payload.zero_count;
-    for &(_, c) in payload.positive.iter().chain(&payload.negative) {
-        count = count
-            .checked_add(c)
-            .ok_or_else(|| SketchError::Malformed("total count overflow".into()))?;
-    }
-    let (min, max, sum) = (payload.min, payload.max, payload.sum);
-    let consistent = if count == 0 {
-        // The canonical empty state, exactly as every encoder writes it.
-        min == f64::INFINITY && max == f64::NEG_INFINITY && sum == 0.0
-    } else {
-        min.is_finite() && max.is_finite() && min <= max && !sum.is_nan()
-    };
-    if !consistent {
-        return Err(SketchError::Malformed(format!(
-            "summary (min {min}, max {max}, sum {sum}) is inconsistent with count {count}"
-        )));
-    }
-    Ok(())
 }
 
 /// Ceiling on the **dense-store growth** a decoded payload may demand:
@@ -1257,8 +1211,8 @@ mod tests {
         buf.put_f64_le(payload.min);
         buf.put_f64_le(payload.max);
         buf.put_f64_le(payload.sum);
-        put_bins(&mut buf, &payload.positive);
-        put_bins(&mut buf, &payload.negative);
+        put_bins(&mut buf, &payload.positive, &put_varint);
+        put_bins(&mut buf, &payload.negative, &put_varint);
         buf
     }
 

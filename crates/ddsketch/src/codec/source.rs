@@ -22,8 +22,8 @@
 //! live-sketch equivalents — property-tested across every configuration.
 
 use super::view::SketchView;
-use super::SketchPayload;
-use crate::any::{AnyDDSketch, AnyWeightedDDSketch};
+use super::{bins_total, SketchPayload, WeightedSketchPayload};
+use crate::any::{config_of, mismatch, no_sketches, AnyDDSketch, AnyWeightedDDSketch};
 use crate::mapping::{IndexMapping, MappingKind};
 use crate::sketch::{DDSketch, GenericRankCursor};
 use crate::store::{BinIter, Store, StoreKind};
@@ -131,11 +131,6 @@ fn recycle_sources<'dst, 'src>(mut buf: Vec<SourceBins<'src>>) -> Vec<SourceBins
     // layout regardless of the lifetime (lifetimes are erased at
     // monomorphization), so only the allocation's capacity crosses over.
     unsafe { std::mem::transmute::<Vec<SourceBins<'src>>, Vec<SourceBins<'dst>>>(buf) }
-}
-
-/// Sum of a decoded payload's bin counts (payloads cache no totals).
-fn bins_total(bins: &[(i32, u64)]) -> u64 {
-    bins.iter().map(|&(_, c)| c).sum()
 }
 
 /// Which store side a clamp is being predicted for — bounded dense stores
@@ -247,9 +242,7 @@ impl<'a, M: IndexMapping, SP: Store<Count = u64>, SN: Store<Count = u64>>
         match self {
             SketchSource::Live(s) => s.count(),
             SketchSource::View(v) => v.count(),
-            SketchSource::Payload(p) => {
-                p.zero_count + bins_total(&p.positive) + bins_total(&p.negative)
-            }
+            SketchSource::Payload(p) => p.total(),
         }
     }
 
@@ -599,7 +592,7 @@ impl<M: IndexMapping, SP: Store<Count = u64>, SN: Store<Count = u64>> DDSketch<M
 
 /// Which preset variant a runtime source belongs to — from the enum for
 /// live sources, from the validated wire header for views.
-enum VariantKind {
+pub(crate) enum VariantKind {
     Unbounded,
     Bounded,
     Fast,
@@ -607,7 +600,13 @@ enum VariantKind {
     PaperExact,
 }
 
-fn variant_of(mapping: MappingKind, store: StoreKind) -> Result<VariantKind, SketchError> {
+/// The preset variant implementing a (mapping, store) pair; a pair no
+/// preset implements is a decode error (it came off the wire or out of a
+/// payload).
+pub(crate) fn variant_of(
+    mapping: MappingKind,
+    store: StoreKind,
+) -> Result<VariantKind, SketchError> {
     Ok(match (mapping, store) {
         (MappingKind::Logarithmic, StoreKind::Unbounded) => VariantKind::Unbounded,
         (MappingKind::Logarithmic, StoreKind::CollapsingDense) => VariantKind::Bounded,
@@ -662,17 +661,8 @@ impl AnyDDSketch {
         out: &mut Vec<f64>,
     ) -> Result<(), SketchError> {
         let Some(first) = sources.clone().next() else {
-            for &q in qs {
-                if !(0.0..=1.0).contains(&q) {
-                    return Err(SketchError::InvalidQuantile(q));
-                }
-            }
             out.clear();
-            return if qs.is_empty() {
-                Ok(())
-            } else {
-                Err(SketchError::Empty)
-            };
+            return no_sketches(qs);
         };
         macro_rules! sources_arm {
             ($variant:ident) => {{
@@ -724,11 +714,7 @@ impl AnyDDSketch {
                 for source in sources.clone() {
                     if let SketchSource::Live(other) = source {
                         if !matches!(other, AnyDDSketch::$variant(_)) {
-                            return Err(SketchError::IncompatibleMerge(format!(
-                                "store/mapping mismatch: {:?} vs {:?}",
-                                crate::any::config_of($target),
-                                other.config()
-                            )));
+                            return Err(mismatch(config_of($target), other.config()));
                         }
                     }
                 }
@@ -756,64 +742,28 @@ impl AnyDDSketch {
     }
 }
 
-/// Reusable bin scratch for [`AnyWeightedDDSketch::merge_view_with`].
-///
-/// Weighted views are forward-only (the `DDS3` escape encoding defeats
-/// the backward varint boundary scan), so the weighted merge plane
-/// materializes each view's bins before the bulk absorb; recycling this
-/// scratch keeps the steady-state fold allocation-free.
-#[derive(Debug, Default)]
-pub struct WeightedMergeScratch {
-    pos: Vec<(i32, f64)>,
-    neg: Vec<(i32, f64)>,
-}
-
 impl AnyWeightedDDSketch {
     /// Absorb one encoded payload — any dialect (`DDS1`/`DDS2`/`DDS3`),
     /// integer counts widened exactly — without materializing a sketch
-    /// for it.
+    /// for it. Weighted walks are forward-only (the `DDS3` escape encoding
+    /// defeats the backward varint boundary scan), so the view's bins are
+    /// copied into a weighted payload first; the parse already validated
+    /// them.
     pub fn merge_view(&mut self, view: &SketchView<'_>) -> Result<(), SketchError> {
-        let mut scratch = WeightedMergeScratch::default();
-        self.merge_view_with(view, &mut scratch)
-    }
-
-    /// [`AnyWeightedDDSketch::merge_view`] with a caller-owned scratch —
-    /// the weighted aggregator's steady-state form: with warm scratch
-    /// capacity the fold never touches the allocator.
-    pub fn merge_view_with(
-        &mut self,
-        view: &SketchView<'_>,
-        scratch: &mut WeightedMergeScratch,
-    ) -> Result<(), SketchError> {
         let config = self.config();
         let vc = view.config();
         // The payload admission predicate (`matches_config`): mapping
         // family, store family, and α must agree; `max_bins` may differ
         // (the receiver's bound governs).
-        if vc.mapping != config.mapping
-            || vc.store != config.store
-            || (vc.alpha - config.alpha).abs() >= 1e-12
-        {
-            return Err(SketchError::IncompatibleMerge(format!(
-                "store/mapping mismatch: {config:?} vs {vc:?}"
-            )));
+        if !super::admits(&config, vc.mapping as u8, vc.store as u8, vc.alpha) {
+            return Err(mismatch(config, vc));
         }
         if view.is_empty() {
             return Ok(());
         }
-        scratch.pos.clear();
-        scratch.neg.clear();
-        view.append_weighted_positive_bins(&mut scratch.pos);
-        view.append_weighted_negative_bins(&mut scratch.neg);
-        let (min, max, sum) = view.raw_summary();
-        self.absorb_raw(
-            view.weighted_zero_count(),
-            min,
-            max,
-            sum,
-            &scratch.pos,
-            &scratch.neg,
-        );
+        let mut p = WeightedSketchPayload::default();
+        p.fill_from_view(view);
+        self.absorb_raw(p.zero_count, p.min, p.max, p.sum, &p.positive, &p.negative);
         Ok(())
     }
 }

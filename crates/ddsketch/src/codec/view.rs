@@ -266,7 +266,7 @@ impl BinSection {
 ///
 /// Forward iteration decodes the delta-coded varints in stream order.
 /// *Backward* iteration exploits LEB128's self-delimiting continuation
-/// bits ([`rsplit_varint`]): each bin is exactly two varints, so the back
+/// bits (`varint::rsplit_varint`): each bin is exactly two varints, so the back
 /// cursor peels `(gap, count)` pairs off the end of the (pre-validated)
 /// region while tracking the running index arithmetically from the
 /// section's last index. No allocation, no re-scan, O(1) amortized per
@@ -350,8 +350,8 @@ impl ExactSizeIterator for ViewBinIter<'_> {}
 /// Forward-only by necessity: the `DDS3` escape encoding embeds 8 raw
 /// `f64` bytes whose bit patterns are opaque to the LEB128 boundary scan
 /// that makes [`ViewBinIter`] double-ended. Descending walks over
-/// weighted payloads materialize into a scratch buffer instead (see
-/// [`SketchView::append_weighted_negative_bins`]).
+/// weighted payloads materialize into a [`crate::WeightedSketchPayload`]
+/// instead.
 #[derive(Debug, Clone)]
 pub struct WeightedViewBinIter<'a> {
     /// Whether counts decode as `DDS3` weighted counts (vs plain varints).

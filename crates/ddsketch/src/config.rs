@@ -7,7 +7,7 @@
 //! module is the single vocabulary for that choice; the five concrete
 //! preset types in [`crate::presets`] remain available as statically-typed
 //! fast paths, and every `SketchConfig` builds the type-erased
-//! [`AnyDDSketch`](crate::AnyDDSketch) whose behaviour is bit-identical to
+//! [`AnyDDSketch`] whose behaviour is bit-identical to
 //! the matching preset.
 
 use crate::mapping::MappingKind;

@@ -150,9 +150,15 @@
 //! ## Weighted ingestion
 //!
 //! Every count in the sketch generalizes from `u64` to `f64`
-//! (the [`store::Count`] abstraction): [`AnyWeightedDDSketch`] is the
-//! type-erased weighted twin of [`AnyDDSketch`], with the same five
-//! configurations. `add_with_count(value, w)` inserts one observation at
+//! (the [`store::Count`] abstraction), and the runtime layers are written
+//! once over the count type: [`AnyDDSketchOf`], [`SketchPayloadOf`], and
+//! the `pipeline` crate's `AggregatorOf` each have one generic definition
+//! and two names, the integer plane ([`AnyDDSketch`], [`SketchPayload`],
+//! `Aggregator`) and the weighted plane ([`AnyWeightedDDSketch`],
+//! [`WeightedSketchPayload`], `WeightedAggregator`), over the same five
+//! configurations. [`CountPlane`] holds the little that differs by count
+//! type: the wire dialect and how staged payloads join a resident sketch.
+//! `add_with_count(value, w)` inserts one observation at
 //! weight `w` — a pre-aggregated client submission ("this value occurred
 //! 1 000 times"), an importance weight, or a fractional multiplicity —
 //! and for **integral** weights the result is bit-identical to calling
@@ -162,7 +168,7 @@
 //! sliding windows) and subtract with floor-at-zero semantics
 //! (`sub_sketch`). On the wire they travel as the `DDS3` dialect, whose
 //! varint fast path keeps integer-weight payloads as compact as `DDS2`;
-//! a weighted receiver ([`codec::WeightedSketchPayload`],
+//! a weighted receiver ([`WeightedSketchPayload`],
 //! [`AnyWeightedDDSketch::decode`], `merge_view`) accepts all three
 //! dialects, so mixed fleets drain through one merge walk.
 //!
@@ -321,11 +327,11 @@ pub mod presets;
 mod sketch;
 pub mod store;
 
-pub use any::{AnyDDSketch, AnyWeightedDDSketch};
+pub use any::{AnyDDSketch, AnyDDSketchOf, AnyWeightedDDSketch};
 pub use atomic::{AnyAtomicDDSketch, AtomicDDSketch, AtomicSketchScratch, WeightedAtomicDDSketch};
 pub use codec::{
-    FrameDecoder, FrameReader, FrameWriter, SketchPayload, SketchSource, SketchView,
-    SketchViewMeta, SourceQuantileScratch, WeightedMergeScratch, WeightedSketchPayload,
+    CountPlane, FrameDecoder, FrameReader, FrameWriter, SketchPayload, SketchPayloadOf,
+    SketchSource, SketchView, SketchViewMeta, SourceQuantileScratch, WeightedSketchPayload,
     WeightedViewBinIter,
 };
 pub use config::{DDSketchBuilder, SketchConfig, DEFAULT_MAX_BINS};

@@ -6,48 +6,59 @@
 //! aggregator answers "what is the fleet's p99 right now?" continuously.
 //! The naive implementation decodes every payload into a sketch and
 //! merges it — paying two store allocations, a per-bin scalar rebuild,
-//! and a grow/collapse *per payload*. [`Aggregator`] never does that:
+//! and a grow/collapse *per payload*. [`AggregatorOf`] never does that:
 //!
-//! * [`Aggregator::feed`] decodes each frame exactly once, into a
+//! * [`AggregatorOf::feed`] decodes each frame exactly once, into a
 //!   **recycled** staging payload (bins + summary, no stores — see
-//!   [`ddsketch::SketchPayload::decode_into`]): one fused
-//!   validate-and-decode pass, no allocation at steady state.
+//!   [`ddsketch::SketchPayloadOf::decode_into`]): one validate-and-decode
+//!   pass, no allocation at steady state.
 //! * Every `fold_threshold` frames, the pending payloads fold into one
-//!   resident [`AnyDDSketch`] through the mixed-source merge path — one
-//!   bulk `add_bins` pass per store per payload, bins flowing straight
-//!   from the staged slices into the resident stores.
-//! * [`Aggregator::quantiles_into`] answers from the resident sketch ∪
-//!   the not-yet-folded payloads in one k-way rank walk
-//!   ([`ddsketch::SketchSource`]): zero intermediate sketches ever
-//!   exist, and with the internal scratch warm the query performs zero
-//!   heap allocations on the dense store families (counting-allocator
-//!   tested).
+//!   resident [`AnyDDSketchOf`] — one bulk `add_bins` pass per store per
+//!   payload, bins flowing straight from the staged slices into the
+//!   resident stores.
+//! * [`AggregatorOf::quantiles_into`] answers over resident ∪ pending;
+//!   with warm buffers neither feeding, folding, nor querying touches the
+//!   allocator on the dense store families (counting-allocator tested).
+//!
+//! The aggregator is written once over the count plane `C` and used
+//! through two names:
+//!
+//! * [`Aggregator`] (`u64`) feeds on integer `DDS1`/`DDS2` frames and
+//!   answers from the resident sketch ∪ the not-yet-folded payloads in one
+//!   k-way rank walk ([`ddsketch::SketchSource`]): zero intermediate
+//!   sketches ever exist.
+//! * [`WeightedAggregator`] (`f64`) feeds on **any** dialect in one mixed
+//!   stream — `DDS3` weighted payloads from agents submitting
+//!   pre-aggregated observations, integer payloads widened exactly — with
+//!   no routing on the magic. There is no mixed-source weighted rank walk,
+//!   so its queries fold pending payloads first.
 //!
 //! Callers that want to *inspect* a frame without staging it — routing,
-//!   compatibility probes, ad-hoc quantiles — use the zero-copy
-//! [`SketchView`] directly; the aggregator's rejection path is exactly
-//! that validation.
+//! compatibility probes, ad-hoc quantiles — use the zero-copy
+//! [`ddsketch::SketchView`] directly; the aggregator's rejection path is
+//! exactly that validation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ddsketch::codec::FrameReader;
 use ddsketch::{
-    AnyDDSketch, AnyWeightedDDSketch, MappingKind, SketchConfig, SketchError, SketchPayload,
-    SketchSource, SourceQuantileScratch, StoreKind, WeightedSketchPayload,
+    AnyDDSketchOf, CountPlane, MappingKind, SketchConfig, SketchError, SketchPayloadOf,
+    SourceQuantileScratch, StoreKind,
 };
 
-/// Decode-free sketch aggregator: feeds on encoded `DDS2` frames,
-/// periodically folds them into a resident sketch, and serves quantiles
-/// over resident ∪ unfolded payloads without materializing any sketch
-/// per payload.
+/// Decode-free sketch aggregator over the count plane `C`: feeds on
+/// encoded frames, periodically folds them into a resident sketch, and
+/// serves quantiles over resident ∪ unfolded payloads without
+/// materializing any sketch per payload. Use the [`Aggregator`] and
+/// [`WeightedAggregator`] names.
 #[derive(Debug)]
-pub struct Aggregator {
+pub struct AggregatorOf<C: CountPlane> {
     config: SketchConfig,
-    resident: AnyDDSketch,
+    resident: AnyDDSketchOf<C>,
     /// Decoded frames awaiting the next fold (recycled buffers).
-    pending: Vec<SketchPayload>,
+    pending: Vec<SketchPayloadOf<C>>,
     /// Spent staging payloads (bin-vector capacity only).
-    spare: Vec<SketchPayload>,
+    spare: Vec<SketchPayloadOf<C>>,
     fold_threshold: usize,
     scratch: SourceQuantileScratch,
     frames_received: u64,
@@ -57,7 +68,13 @@ pub struct Aggregator {
     epoch: AtomicU64,
 }
 
-impl Aggregator {
+/// The integer-plane aggregator: `DDS1`/`DDS2` frames, exact `u64` counts.
+pub type Aggregator = AggregatorOf<u64>;
+
+/// The weighted-plane aggregator: frames of every dialect, `f64` weights.
+pub type WeightedAggregator = AggregatorOf<f64>;
+
+impl<C: CountPlane> AggregatorOf<C> {
     /// Create an aggregator whose resident sketch uses `config`, folding
     /// pending payloads whenever `fold_threshold` of them accumulate.
     ///
@@ -72,7 +89,7 @@ impl Aggregator {
             ));
         }
         Ok(Self {
-            resident: config.build()?,
+            resident: AnyDDSketchOf::new(config)?,
             config,
             pending: Vec::new(),
             spare: Vec::new(),
@@ -119,8 +136,8 @@ impl Aggregator {
     }
 
     /// Monotonic data epoch: advanced by every accepted
-    /// [`Aggregator::feed`]/[`Aggregator::feed_payload`] and every
-    /// non-empty [`Aggregator::fold`] (a relaxed atomic, so a reader
+    /// [`AggregatorOf::feed`]/[`AggregatorOf::feed_payload`] and every
+    /// non-empty [`AggregatorOf::fold`] (a relaxed atomic, so a reader
     /// holding only `&self` can probe it cheaply). An unchanged epoch
     /// guarantees unchanged state — the contract read-side caches key
     /// their invalidation on.
@@ -130,32 +147,29 @@ impl Aggregator {
 
     /// The resident sketch (excludes pending payloads; fold first for a
     /// complete one).
-    pub fn resident(&self) -> &AnyDDSketch {
+    pub fn resident(&self) -> &AnyDDSketchOf<C> {
         &self.resident
     }
 
-    /// Total observations across resident and pending payloads.
-    pub fn count(&self) -> u64 {
-        self.resident.count()
-            + self
-                .pending
-                .iter()
-                .map(|p| {
-                    p.zero_count
-                        + p.positive.iter().map(|&(_, c)| c).sum::<u64>()
-                        + p.negative.iter().map(|&(_, c)| c).sum::<u64>()
-                })
-                .sum::<u64>()
+    /// Total count (weight) across resident and pending payloads.
+    pub fn count(&self) -> C {
+        let pending = self.pending.iter().fold(C::ZERO, |sum, p| sum + p.total());
+        self.resident.total() + pending
+    }
+
+    /// [`AggregatorOf::count`] as an `f64`.
+    pub fn weighted_count(&self) -> f64 {
+        self.count().to_f64()
     }
 
     /// Whether the aggregator has seen no data.
     pub fn is_empty(&self) -> bool {
-        self.count() == 0
+        self.count() == C::ZERO
     }
 
     /// Reject payloads the resident sketch could not merge, *before* they
     /// enter the pending set — a bad frame never corrupts a fold.
-    fn check_compatible(&self, payload: &SketchPayload) -> Result<(), SketchError> {
+    fn check_compatible(&self, payload: &SketchPayloadOf<C>) -> Result<(), SketchError> {
         if !payload.matches_config(&self.config) {
             // A differing max_bins is fine (the resident bound governs,
             // Algorithm 4); family or α mismatches are not.
@@ -187,28 +201,28 @@ impl Aggregator {
     }
 
     /// Take a recycled staging payload (or a fresh one) so a caller can
-    /// run [`ddsketch::SketchPayload::decode_into`] itself — e.g. a
+    /// run [`ddsketch::SketchPayloadOf::decode_into`] itself — e.g. a
     /// server thread that must route on the decoded bytes *before*
     /// deciding where to stage them. Hand the buffer back through
-    /// [`Aggregator::feed_payload`] or [`Aggregator::recycle`] to keep
-    /// the steady state allocation-free.
-    pub fn take_spare(&mut self) -> SketchPayload {
+    /// [`AggregatorOf::feed_payload`] or [`AggregatorOf::recycle`] to
+    /// keep the steady state allocation-free.
+    pub fn take_spare(&mut self) -> SketchPayloadOf<C> {
         self.spare.pop().unwrap_or_default()
     }
 
     /// Return a payload buffer to the recycle pool without staging it
-    /// (the counterpart of [`Aggregator::take_spare`] for rejected or
+    /// (the counterpart of [`AggregatorOf::take_spare`] for rejected or
     /// unused buffers).
-    pub fn recycle(&mut self, payload: SketchPayload) {
+    pub fn recycle(&mut self, payload: SketchPayloadOf<C>) {
         self.spare.push(payload);
     }
 
     /// Stage one already-decoded payload — the out-of-band half of
-    /// [`Aggregator::feed`], for callers that decoded (and perhaps
+    /// [`AggregatorOf::feed`], for callers that decoded (and perhaps
     /// routed on) the payload themselves. The compatibility gate is the
     /// same as `feed`'s; a rejected payload's buffer is recycled
     /// internally and the aggregator is left untouched.
-    pub fn feed_payload(&mut self, payload: SketchPayload) -> Result<(), SketchError> {
+    pub fn feed_payload(&mut self, payload: SketchPayloadOf<C>) -> Result<(), SketchError> {
         if let Err(e) = self.check_compatible(&payload) {
             self.recycle(payload);
             return Err(e);
@@ -245,8 +259,7 @@ impl Aggregator {
         if self.pending.is_empty() {
             return 0;
         }
-        self.resident
-            .merge_sources(self.pending.iter().map(SketchSource::Payload))
+        C::fold(&mut self.resident, &self.pending)
             .expect("pending payloads are compatibility-checked by feed");
         let folded = self.pending.len();
         self.frames_folded += folded as u64;
@@ -256,247 +269,34 @@ impl Aggregator {
     }
 
     /// Estimate quantiles over everything fed so far — resident sketch ∪
-    /// unfolded payloads — in one mixed-source rank walk. No sketch is
-    /// materialized, no merge performed; with the internal scratch warm
-    /// (one prior call), dense-family queries allocate nothing beyond
-    /// `out`'s capacity.
-    ///
-    /// `&mut self` is for scratch reuse only; no observable state
-    /// changes.
+    /// unfolded payloads. On the integer plane this is one mixed-source
+    /// rank walk: no sketch is materialized, no merge performed, and
+    /// `&mut self` is for scratch reuse only. The weighted plane has no
+    /// such walk, so it folds pending payloads first (an observable but
+    /// semantics-preserving state change). With buffers warm (one prior
+    /// call), dense-family queries allocate nothing beyond `out`'s
+    /// capacity.
     pub fn quantiles_into(&mut self, qs: &[f64], out: &mut Vec<f64>) -> Result<(), SketchError> {
+        if !C::WALKS_PAYLOADS {
+            self.fold();
+        }
         let Self {
             resident,
             pending,
             scratch,
             ..
         } = self;
-        let sources = std::iter::once(SketchSource::Live(&*resident))
-            .chain(pending.iter().map(SketchSource::Payload));
-        AnyDDSketch::merged_quantiles_sources(sources, qs, scratch, out)
+        C::merged_quantiles_into(resident, pending, qs, scratch, out)
     }
 
-    /// Convenience allocating form of [`Aggregator::quantiles_into`].
+    /// Convenience allocating form of [`AggregatorOf::quantiles_into`].
     pub fn quantiles(&mut self, qs: &[f64]) -> Result<Vec<f64>, SketchError> {
         let mut out = Vec::with_capacity(qs.len());
         self.quantiles_into(qs, &mut out)?;
         Ok(out)
     }
 
-    /// Convenience: a single quantile via [`Aggregator::quantiles_into`].
-    pub fn quantile(&mut self, q: f64) -> Result<f64, SketchError> {
-        Ok(self.quantiles(std::slice::from_ref(&q))?[0])
-    }
-}
-
-/// The weighted twin of [`Aggregator`]: feeds on **any** wire dialect —
-/// `DDS1`, `DDS2`, or `DDS3` — in one mixed stream, staging each frame
-/// as a recycled [`WeightedSketchPayload`] (integer counts widen exactly)
-/// and folding into a resident [`AnyWeightedDDSketch`].
-///
-/// This is the receiving end for fleets whose agents submit
-/// pre-aggregated weighted observations (`DDS3`) alongside legacy
-/// integer-counted payloads: one aggregator, one merge walk, no routing
-/// on the magic. The steady-state contract matches the integer
-/// aggregator's — each frame is decoded exactly once into recycled
-/// buffers, folds are one bulk `add_bins` pass per store per payload,
-/// and with warm buffers neither `feed` nor `fold` touches the allocator
-/// (counting-allocator tested).
-#[derive(Debug)]
-pub struct WeightedAggregator {
-    config: SketchConfig,
-    resident: AnyWeightedDDSketch,
-    pending: Vec<WeightedSketchPayload>,
-    spare: Vec<WeightedSketchPayload>,
-    fold_threshold: usize,
-    frames_received: u64,
-    frames_folded: u64,
-    /// Monotonic data epoch; see [`Aggregator::epoch`].
-    epoch: AtomicU64,
-}
-
-impl WeightedAggregator {
-    /// Create a weighted aggregator whose resident sketch uses `config`,
-    /// folding whenever `fold_threshold` pending payloads accumulate.
-    pub fn with_config(config: SketchConfig, fold_threshold: usize) -> Result<Self, SketchError> {
-        if fold_threshold == 0 {
-            return Err(SketchError::InvalidConfig(
-                "fold_threshold must be positive".into(),
-            ));
-        }
-        Ok(Self {
-            resident: AnyWeightedDDSketch::new(config)?,
-            config,
-            pending: Vec::new(),
-            spare: Vec::new(),
-            fold_threshold,
-            frames_received: 0,
-            frames_folded: 0,
-            epoch: AtomicU64::new(0),
-        })
-    }
-
-    /// Convenience constructor for the paper's default configuration.
-    pub fn new(alpha: f64, max_bins: usize, fold_threshold: usize) -> Result<Self, SketchError> {
-        Self::with_config(
-            SketchConfig::dense_collapsing(alpha, max_bins),
-            fold_threshold,
-        )
-    }
-
-    /// The configuration the resident sketch runs.
-    pub fn config(&self) -> SketchConfig {
-        self.config
-    }
-
-    /// Frames accepted so far.
-    pub fn frames_received(&self) -> u64 {
-        self.frames_received
-    }
-
-    /// Frames already folded into the resident sketch.
-    pub fn frames_folded(&self) -> u64 {
-        self.frames_folded
-    }
-
-    /// Frames awaiting the next fold.
-    pub fn pending_frames(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Monotonic data epoch: advanced by every accepted feed and every
-    /// non-empty fold; see [`Aggregator::epoch`] for the contract.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// The resident sketch (excludes pending payloads; fold first for a
-    /// complete one).
-    pub fn resident(&self) -> &AnyWeightedDDSketch {
-        &self.resident
-    }
-
-    /// Total stored weight across resident and pending payloads.
-    pub fn weighted_count(&self) -> f64 {
-        self.resident.weighted_count()
-            + self
-                .pending
-                .iter()
-                .map(|p| {
-                    p.zero_count
-                        + p.positive.iter().map(|&(_, c)| c).sum::<f64>()
-                        + p.negative.iter().map(|&(_, c)| c).sum::<f64>()
-                })
-                .sum::<f64>()
-    }
-
-    /// Whether the aggregator has seen no weight.
-    pub fn is_empty(&self) -> bool {
-        self.weighted_count() == 0.0
-    }
-
-    fn check_compatible(&self, payload: &WeightedSketchPayload) -> Result<(), SketchError> {
-        if !payload.matches_config(&self.config) {
-            return Err(SketchError::IncompatibleMerge(format!(
-                "aggregator runs {:?}, payload is (mapping {:?}, store {:?}, α={})",
-                self.config,
-                MappingKind::from_u8(payload.kind),
-                StoreKind::from_u8(payload.store),
-                payload.relative_accuracy
-            )));
-        }
-        Ok(())
-    }
-
-    /// Accept one encoded payload of **any** dialect. The frame is
-    /// decoded once, into a recycled staging payload; rejected frames
-    /// leave the aggregator untouched.
-    pub fn feed(&mut self, frame: &[u8]) -> Result<(), SketchError> {
-        let mut payload = self.take_spare();
-        if let Err(e) = payload.decode_into(frame) {
-            self.recycle(payload);
-            return Err(e);
-        }
-        self.feed_payload(payload)
-    }
-
-    /// Take a recycled staging payload (or a fresh one); see
-    /// [`Aggregator::take_spare`].
-    pub fn take_spare(&mut self) -> WeightedSketchPayload {
-        self.spare.pop().unwrap_or_default()
-    }
-
-    /// Return a payload buffer to the recycle pool without staging it.
-    pub fn recycle(&mut self, payload: WeightedSketchPayload) {
-        self.spare.push(payload);
-    }
-
-    /// Stage one already-decoded weighted payload; the compatibility gate
-    /// matches [`WeightedAggregator::feed`]'s.
-    pub fn feed_payload(&mut self, payload: WeightedSketchPayload) -> Result<(), SketchError> {
-        if let Err(e) = self.check_compatible(&payload) {
-            self.recycle(payload);
-            return Err(e);
-        }
-        self.pending.push(payload);
-        self.frames_received += 1;
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-        if self.pending.len() >= self.fold_threshold {
-            self.fold();
-        }
-        Ok(())
-    }
-
-    /// Drain every frame of a [`FrameReader`] into the aggregator; see
-    /// [`Aggregator::feed_stream`].
-    pub fn feed_stream<R: std::io::Read>(
-        &mut self,
-        reader: &mut FrameReader<R>,
-    ) -> Result<usize, SketchError> {
-        let mut accepted = 0;
-        let mut buf = Vec::new();
-        while reader.read_frame(&mut buf)?.is_some() {
-            self.feed(&buf)?;
-            accepted += 1;
-        }
-        Ok(accepted)
-    }
-
-    /// Fold every pending payload into the resident sketch — one bulk
-    /// `add_bins` pass per store per payload.
-    pub fn fold(&mut self) -> usize {
-        if self.pending.is_empty() {
-            return 0;
-        }
-        let folded = self.pending.len();
-        for payload in self.pending.drain(..) {
-            self.resident
-                .merge_weighted_payload(&payload)
-                .expect("pending payloads are compatibility-checked by feed");
-            self.spare.push(payload);
-        }
-        self.frames_folded += folded as u64;
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-        folded
-    }
-
-    /// Estimate quantiles over everything fed so far. Unlike the integer
-    /// plane there is no mixed-source weighted rank walk, so pending
-    /// payloads are folded first (an observable but semantics-preserving
-    /// state change); the query itself is allocation-free on the dense
-    /// families.
-    pub fn quantiles_into(&mut self, qs: &[f64], out: &mut Vec<f64>) -> Result<(), SketchError> {
-        self.fold();
-        self.resident.quantiles_into(qs, out)
-    }
-
-    /// Convenience allocating form of [`WeightedAggregator::quantiles_into`].
-    pub fn quantiles(&mut self, qs: &[f64]) -> Result<Vec<f64>, SketchError> {
-        let mut out = Vec::with_capacity(qs.len());
-        self.quantiles_into(qs, &mut out)?;
-        Ok(out)
-    }
-
-    /// Convenience: a single quantile.
+    /// Convenience: a single quantile via [`AggregatorOf::quantiles_into`].
     pub fn quantile(&mut self, q: f64) -> Result<f64, SketchError> {
         Ok(self.quantiles(std::slice::from_ref(&q))?[0])
     }
@@ -506,6 +306,7 @@ impl WeightedAggregator {
 mod tests {
     use super::*;
     use ddsketch::codec::FrameWriter;
+    use ddsketch::{AnyDDSketch, AnyWeightedDDSketch};
 
     fn frame(config: SketchConfig, values: impl IntoIterator<Item = f64>) -> Vec<u8> {
         let mut s = config.build().unwrap();
@@ -566,32 +367,58 @@ mod tests {
         }
     }
 
+    /// Encode one frame on plane `C`: each `(value, count)` inserted
+    /// through the count-generic `add_with_count`.
+    fn plane_frame<C: CountPlane>(config: SketchConfig, entries: &[(f64, C)]) -> Vec<u8> {
+        let mut s = AnyDDSketchOf::<C>::new(config).unwrap();
+        for &(v, c) in entries {
+            s.add_with_count(v, c).unwrap();
+        }
+        s.encode()
+    }
+
+    /// The magic of plane `C`'s own dialect (`DDS2` or `DDS3`).
+    fn plane_magic<C: CountPlane>() -> Vec<u8> {
+        SketchPayloadOf::<C>::default().encode()[..4].to_vec()
+    }
+
     #[test]
     fn feed_rejects_bad_frames_atomically() {
-        let mut agg = Aggregator::new(0.01, 256, 8).unwrap();
-        agg.feed(&frame(
-            SketchConfig::dense_collapsing(0.01, 256),
-            [1.0, 2.0],
-        ))
-        .unwrap();
-        // Corrupt bytes: truncation is Malformed, an unknown mapping
-        // discriminant is a (semantic) Decode error; both are rejected.
-        assert!(matches!(agg.feed(b"DDS2"), Err(SketchError::Malformed(_))));
-        assert!(agg.feed(b"DDS2garbage").is_err());
-        // Wrong store family and wrong alpha.
-        assert!(matches!(
-            agg.feed(&frame(SketchConfig::sparse(0.01), [1.0])),
-            Err(SketchError::IncompatibleMerge(_))
-        ));
-        assert!(matches!(
-            agg.feed(&frame(SketchConfig::dense_collapsing(0.02, 256), [1.0])),
-            Err(SketchError::IncompatibleMerge(_))
-        ));
-        // A differing max_bins is accepted: the resident bound governs.
-        agg.feed(&frame(SketchConfig::dense_collapsing(0.01, 64), [3.0]))
+        fn check<C: CountPlane>(first: &[(f64, C)], second: &[(f64, C)], total: C) {
+            let config = SketchConfig::dense_collapsing(0.01, 256);
+            let mut agg = AggregatorOf::<C>::with_config(config, 8).unwrap();
+            agg.feed(&plane_frame(config, first)).unwrap();
+            // Corrupt bytes: truncation is Malformed, an unknown mapping
+            // discriminant is a (semantic) Decode error; both are
+            // rejected.
+            let magic = plane_magic::<C>();
+            assert!(matches!(agg.feed(&magic), Err(SketchError::Malformed(_))));
+            assert!(agg.feed(&[&magic[..], b"garbage"].concat()).is_err());
+            // Wrong store family and wrong alpha.
+            assert!(matches!(
+                agg.feed(&plane_frame(SketchConfig::sparse(0.01), first)),
+                Err(SketchError::IncompatibleMerge(_))
+            ));
+            assert!(matches!(
+                agg.feed(&plane_frame(
+                    SketchConfig::dense_collapsing(0.02, 256),
+                    first
+                )),
+                Err(SketchError::IncompatibleMerge(_))
+            ));
+            // A differing max_bins is accepted: the resident bound
+            // governs.
+            agg.feed(&plane_frame(
+                SketchConfig::dense_collapsing(0.01, 64),
+                second,
+            ))
             .unwrap();
-        assert_eq!(agg.frames_received(), 2);
-        assert_eq!(agg.count(), 3);
+            assert_eq!(agg.frames_received(), 2);
+            assert_eq!(agg.count(), total);
+            assert!(AggregatorOf::<C>::with_config(config, 0).is_err());
+        }
+        check::<u64>(&[(1.0, 1), (2.0, 1)], &[(3.0, 1)], 3);
+        check::<f64>(&[(1.0, 2.5)], &[(3.0, 0.5)], 3.0);
     }
 
     #[test]
@@ -619,17 +446,24 @@ mod tests {
 
     #[test]
     fn empty_aggregator_behaviour() {
-        let mut agg = Aggregator::new(0.01, 256, 4).unwrap();
-        assert!(agg.is_empty());
-        assert!(matches!(agg.quantile(0.5), Err(SketchError::Empty)));
-        assert!(agg.quantiles(&[]).unwrap().is_empty());
-        assert_eq!(agg.fold(), 0);
-        // An empty payload is accepted and contributes nothing.
-        agg.feed(&frame(SketchConfig::dense_collapsing(0.01, 256), []))
+        fn check<C: CountPlane>() {
+            let mut agg = AggregatorOf::<C>::new(0.01, 256, 4).unwrap();
+            assert!(agg.is_empty());
+            assert!(matches!(agg.quantile(0.5), Err(SketchError::Empty)));
+            assert!(agg.quantiles(&[]).unwrap().is_empty());
+            assert_eq!(agg.fold(), 0);
+            // An empty payload is accepted and contributes nothing.
+            agg.feed(&plane_frame::<C>(
+                SketchConfig::dense_collapsing(0.01, 256),
+                &[],
+            ))
             .unwrap();
-        assert!(agg.is_empty());
-        assert!(matches!(agg.quantile(0.5), Err(SketchError::Empty)));
-        assert!(Aggregator::new(0.01, 256, 0).is_err());
+            assert!(agg.is_empty());
+            assert!(matches!(agg.quantile(0.5), Err(SketchError::Empty)));
+            assert!(AggregatorOf::<C>::new(0.01, 256, 0).is_err());
+        }
+        check::<u64>();
+        check::<f64>();
     }
 
     fn weighted_frame(
@@ -680,76 +514,30 @@ mod tests {
     }
 
     #[test]
-    fn weighted_feed_rejects_bad_frames_atomically() {
-        let config = SketchConfig::dense_collapsing(0.01, 256);
-        let mut agg = WeightedAggregator::with_config(config, 8).unwrap();
-        agg.feed(&weighted_frame(config, [(1.0, 2.5)])).unwrap();
-        assert!(matches!(agg.feed(b"DDS3"), Err(SketchError::Malformed(_))));
-        assert!(agg.feed(b"DDS3garbage").is_err());
-        assert!(matches!(
-            agg.feed(&weighted_frame(SketchConfig::sparse(0.01), [(1.0, 1.0)])),
-            Err(SketchError::IncompatibleMerge(_))
-        ));
-        // A differing max_bins is accepted: the resident bound governs.
-        agg.feed(&weighted_frame(
-            SketchConfig::dense_collapsing(0.01, 64),
-            [(3.0, 0.5)],
-        ))
-        .unwrap();
-        assert_eq!(agg.frames_received(), 2);
-        assert_eq!(agg.weighted_count(), 3.0);
-        assert!(WeightedAggregator::with_config(config, 0).is_err());
-    }
-
-    #[test]
     fn epoch_advances_only_on_data_changes() {
-        let config = SketchConfig::dense_collapsing(0.01, 256);
-        let mut agg = Aggregator::with_config(config, 4).unwrap();
-        assert_eq!(agg.epoch(), 0);
-        // Rejected frames leave the epoch untouched.
-        assert!(agg.feed(b"DDS2").is_err());
-        assert_eq!(agg.epoch(), 0);
-        agg.feed(&frame(config, [1.0, 2.0])).unwrap();
-        let after_feed = agg.epoch();
-        assert!(after_feed > 0);
-        // Folding nothing is not a data change; folding something is.
-        agg.fold();
-        let after_fold = agg.epoch();
-        assert!(after_fold > after_feed);
-        assert_eq!(agg.fold(), 0);
-        assert_eq!(agg.epoch(), after_fold);
-        // Queries never advance the epoch.
-        agg.quantile(0.5).unwrap();
-        assert_eq!(agg.epoch(), after_fold);
-
-        let mut wagg = WeightedAggregator::with_config(config, 4).unwrap();
-        assert_eq!(wagg.epoch(), 0);
-        assert!(wagg.feed(b"DDS3").is_err());
-        assert_eq!(wagg.epoch(), 0);
-        wagg.feed(&weighted_frame(config, [(1.0, 2.5)])).unwrap();
-        let after_feed = wagg.epoch();
-        assert!(after_feed > 0);
-        wagg.fold();
-        let after_fold = wagg.epoch();
-        assert!(after_fold > after_feed);
-        assert_eq!(wagg.fold(), 0);
-        assert_eq!(wagg.epoch(), after_fold);
-        // A weighted quantile folds pending payloads first — with none
-        // pending it must not move the epoch.
-        wagg.quantile(0.5).unwrap();
-        assert_eq!(wagg.epoch(), after_fold);
-    }
-
-    #[test]
-    fn empty_weighted_aggregator_behaviour() {
-        let config = SketchConfig::dense_collapsing(0.01, 256);
-        let mut agg = WeightedAggregator::with_config(config, 4).unwrap();
-        assert!(agg.is_empty());
-        assert!(matches!(agg.quantile(0.5), Err(SketchError::Empty)));
-        assert!(agg.quantiles(&[]).unwrap().is_empty());
-        assert_eq!(agg.fold(), 0);
-        agg.feed(&weighted_frame(config, [])).unwrap();
-        assert!(agg.is_empty());
-        assert!(matches!(agg.quantile(0.5), Err(SketchError::Empty)));
+        fn check<C: CountPlane>(entries: &[(f64, C)]) {
+            let config = SketchConfig::dense_collapsing(0.01, 256);
+            let mut agg = AggregatorOf::<C>::with_config(config, 4).unwrap();
+            assert_eq!(agg.epoch(), 0);
+            // Rejected frames leave the epoch untouched.
+            assert!(agg.feed(&plane_magic::<C>()).is_err());
+            assert_eq!(agg.epoch(), 0);
+            agg.feed(&plane_frame(config, entries)).unwrap();
+            let after_feed = agg.epoch();
+            assert!(after_feed > 0);
+            // Folding nothing is not a data change; folding something is.
+            agg.fold();
+            let after_fold = agg.epoch();
+            assert!(after_fold > after_feed);
+            assert_eq!(agg.fold(), 0);
+            assert_eq!(agg.epoch(), after_fold);
+            // Queries never advance the epoch (a weighted quantile folds
+            // pending payloads first — with none pending it must not move
+            // the epoch either).
+            agg.quantile(0.5).unwrap();
+            assert_eq!(agg.epoch(), after_fold);
+        }
+        check::<u64>(&[(1.0, 1), (2.0, 1)]);
+        check::<f64>(&[(1.0, 2.5)]);
     }
 }

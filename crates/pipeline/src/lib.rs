@@ -8,11 +8,12 @@
 //! provide.
 //!
 //! Modules:
-//! * [`aggregator`] — the decode-free receiving end: raw `DDS2` frames
-//!   in, quantiles out, zero intermediate sketches (below); its
-//!   [`WeightedAggregator`] sibling runs the same staging/fold machinery
-//!   on the `f64` count plane and accepts mixed `DDS1`/`DDS2`/`DDS3`
-//!   streams.
+//! * [`aggregator`] — the decode-free receiving end: raw frames in,
+//!   quantiles out, zero intermediate sketches (below). One generic
+//!   [`AggregatorOf`] runs the staging/fold machinery for both count
+//!   planes: [`Aggregator`] takes integer `DDS2` frames, and
+//!   [`WeightedAggregator`] takes the `f64` plane's mixed
+//!   `DDS1`/`DDS2`/`DDS3` streams.
 //! * [`window`] — the `(metric, window) → sketch` time-series store with
 //!   interned metric ids, exact k-way rollups, retention eviction,
 //!   trailing-width [`window::SlidingView`] reads over existing cells,
@@ -126,7 +127,7 @@ pub mod sim;
 pub mod window;
 pub mod window_sliding;
 
-pub use aggregator::{Aggregator, WeightedAggregator};
+pub use aggregator::{Aggregator, AggregatorOf, WeightedAggregator};
 pub use concurrent::{ConcurrentSketch, LocalIngest};
 pub use sim::{run_sequential, run_simulation, Payload, SimConfig, SimReport};
 pub use window::{MetricId, SlidingView, TimeSeriesStore};

@@ -11,8 +11,9 @@
 //!   absorb them into the shard's aggregator + time-series store under
 //!   the shard's state lock.
 //! * **checkpointer** — optional: periodically snapshots every shard's
-//!   store to `{tenant}@{shard}.ddts` (tmp + rename, so a crash
-//!   mid-write never clobbers the previous good checkpoint).
+//!   store to `{tenant}@{shard}.ddts` and its residents to `.ddsi`/`.ddsw`
+//!   (tmp + rename, so a crash mid-write never clobbers the previous good
+//!   checkpoint).
 //! * **retention sweeper** — optional: evicts windowed-store cells
 //!   older than [`ServerConfig::retention`].
 //!
@@ -23,7 +24,7 @@
 
 use std::fs;
 use std::io::{self, ErrorKind};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -31,10 +32,10 @@ use std::time::Duration;
 
 use ddsketch::codec::{SketchView, DEFAULT_MAX_FRAME_LEN};
 use ddsketch::{
-    AnyDDSketch, AnyWeightedDDSketch, SketchConfig, SketchError, SketchPayload,
-    WeightedSketchPayload,
+    AnyDDSketch, AnyWeightedDDSketch, CountPlane, SketchConfig, SketchError, SketchPayload,
+    SketchPayloadOf, WeightedSketchPayload,
 };
-use pipeline::TimeSeriesStore;
+use pipeline::{AggregatorOf, TimeSeriesStore};
 
 use crate::error::ServerError;
 use crate::net::{Bind, Endpoint, Listener};
@@ -410,14 +411,19 @@ pub(crate) fn decode_admitted(
     spare_payload: &mut SketchPayload,
     spare_weighted: &mut WeightedSketchPayload,
 ) -> Option<JobPayload> {
+    fn admit<C: CountPlane>(
+        spare: &mut SketchPayloadOf<C>,
+        bytes: &[u8],
+        config: &SketchConfig,
+    ) -> Option<SketchPayloadOf<C>> {
+        (spare.decode_into(bytes).is_ok() && spare.matches_config(config))
+            .then(|| std::mem::take(spare))
+    }
+    let config = &inner.config.sketch;
     if payload_bytes.get(..4) == Some(b"DDS3") {
-        (spare_weighted.decode_into(payload_bytes).is_ok()
-            && spare_weighted.matches_config(&inner.config.sketch))
-        .then(|| JobPayload::Weighted(std::mem::take(spare_weighted)))
+        admit(spare_weighted, payload_bytes, config).map(JobPayload::Weighted)
     } else {
-        (spare_payload.decode_into(payload_bytes).is_ok()
-            && spare_payload.matches_config(&inner.config.sketch))
-        .then(|| JobPayload::Integer(std::mem::take(spare_payload)))
+        admit(spare_payload, payload_bytes, config).map(JobPayload::Integer)
     }
 }
 
@@ -647,13 +653,26 @@ fn execute_into(
         },
         Command::WQuantile(name, qs) => match inner.registry.get(&name) {
             Some(tenant) => {
+                let sketch = inner.config.sketch;
                 let union = match inner.config.read_plane {
                     ReadPlane::EpochCached => {
                         let (snaps, cache_fill) = tenant_snapshots(inner, &tenant);
                         *fill = Some(cache_fill);
-                        weighted_union_snapshots(&snaps, inner)
+                        weighted_union(snaps.iter().map(|s| (&s.weighted, &s.resident)), sketch)
                     }
-                    ReadPlane::LockedFold => weighted_union(&tenant, inner),
+                    ReadPlane::LockedFold => {
+                        let residents: Vec<_> = tenant
+                            .shards
+                            .iter()
+                            .map(|shard| {
+                                let mut state = lock(&shard.state);
+                                state.agg.fold();
+                                state.wagg.fold();
+                                (state.wagg.resident().clone(), state.agg.resident().clone())
+                            })
+                            .collect();
+                        weighted_union(residents.iter().map(|(w, i)| (w, i)), sketch)
+                    }
                 };
                 match union {
                     Ok(union) => match union.quantiles(&qs) {
@@ -752,41 +771,22 @@ fn execute_into(
     true
 }
 
-/// Tenant-wide weighted union: every shard's weighted resident plus its
-/// integer resident lifted onto the weighted plane (each integer count
-/// enters at weight 1), merged outside the shard locks. There is no
-/// mixed-plane k-way rank walk, so the union is materialized — exact by
+/// Tenant-wide weighted union over one `(weighted, integer)` resident
+/// pair per shard: each shard's weighted resident, then its integer
+/// resident lifted onto the weighted plane (each integer count enters at
+/// weight 1). Both read planes call this with their own copies — locked
+/// folds or read snapshots — so the per-shard merge order, and every
+/// quantile read from the union, is bit-identical between them. There is
+/// no mixed-plane k-way rank walk, so the union is materialized — exact by
 /// full mergeability, allocation is per-query.
-fn weighted_union(
-    tenant: &Tenant,
-    inner: &ServerInner,
+fn weighted_union<'a>(
+    residents: impl Iterator<Item = (&'a AnyWeightedDDSketch, &'a AnyDDSketch)>,
+    config: SketchConfig,
 ) -> Result<AnyWeightedDDSketch, SketchError> {
-    let mut union = AnyWeightedDDSketch::new(inner.config.sketch)?;
-    for shard in &tenant.shards {
-        let mut state = lock(&shard.state);
-        state.agg.fold();
-        state.wagg.fold();
-        let weighted = state.wagg.resident().clone();
-        let integer = state.agg.resident().encode();
-        drop(state);
-        union.merge_from(&weighted)?;
-        union.merge_view(&SketchView::parse(&integer)?)?;
-    }
-    Ok(union)
-}
-
-/// [`weighted_union`] over read snapshots instead of locked state: the
-/// same per-shard merge order (weighted resident, then the integer
-/// resident lifted to weight 1), so the union — and every quantile read
-/// from it — is bit-identical to the locked fold at the same epochs.
-fn weighted_union_snapshots(
-    snaps: &[Arc<ShardSnapshot>],
-    inner: &ServerInner,
-) -> Result<AnyWeightedDDSketch, SketchError> {
-    let mut union = AnyWeightedDDSketch::new(inner.config.sketch)?;
-    for snap in snaps {
-        union.merge_from(&snap.weighted)?;
-        union.merge_view(&SketchView::parse(&snap.resident.encode())?)?;
+    let mut union = AnyWeightedDDSketch::new(config)?;
+    for (weighted, integer) in residents {
+        union.merge_from(weighted)?;
+        union.merge_view(&SketchView::parse(&integer.encode())?)?;
     }
     Ok(union)
 }
@@ -879,36 +879,72 @@ fn checkpoint_loop(inner: &Arc<ServerInner>, interval: Duration) {
     }
 }
 
-/// Snapshot every shard's store to `{tenant}@{shard}.ddts` and its
-/// weighted-plane resident to `{tenant}@{shard}.ddsw` (a bare `DDS3`
-/// payload) under the configured directory (tmp + rename). The `.ddsw`
-/// file is written only once the shard has absorbed weighted frames,
-/// and then on every sweep — so a stale snapshot is always overwritten,
-/// never left to double-restore. Returns the file count.
+/// Fold a plane's aggregator and encode its resident: the contents of a
+/// shard's resident file (`.ddsi` holds a bare `DDS2` payload, `.ddsw` a
+/// bare `DDS3` one).
+fn resident_bytes<C: CountPlane>(agg: &mut AggregatorOf<C>) -> Vec<u8> {
+    agg.fold();
+    agg.resident().encode()
+}
+
+/// Load a resident file written from [`resident_bytes`] back into a
+/// plane's aggregator. `feed` re-runs the admission predicate, so a file
+/// from a differently-configured server is rejected.
+fn restore_resident<C: CountPlane>(
+    agg: &mut AggregatorOf<C>,
+    bytes: &[u8],
+) -> Result<(), ServerError> {
+    agg.feed(bytes)?;
+    agg.fold();
+    Ok(())
+}
+
+/// Write `bytes` to `{dir}/{stem}.{ext}` through a tmp file and a rename,
+/// so a crash mid-write never clobbers the previous good file.
+fn write_checkpoint_file(dir: &Path, stem: &str, ext: &str, bytes: &[u8]) -> io::Result<()> {
+    let tmp = dir.join(format!("{stem}.{ext}.tmp"));
+    fs::write(&tmp, bytes)?;
+    fs::rename(&tmp, dir.join(format!("{stem}.{ext}")))
+}
+
+/// Snapshot every shard under the configured directory: its windowed store
+/// to `{tenant}@{shard}.ddts`, and its residents to resident files. The
+/// weighted resident (`.ddsw`) is written once the shard has absorbed
+/// weighted frames, and then on every sweep — so a stale snapshot is
+/// always overwritten, never left to double-restore. Under
+/// [`ServerConfig::retention`] the integer resident (`.ddsi`) is written
+/// too: retention evicts windowed-store cells only, so the store no longer
+/// holds everything the resident answers from, and a restart must restore
+/// the resident itself rather than rebuild it from the surviving cells.
+/// Without retention a leftover `.ddsi` is removed, since the resident is
+/// then rebuilt from the cells. Returns the file count.
 fn checkpoint_all(inner: &ServerInner) -> Result<usize, ServerError> {
     let Some(dir) = &inner.config.checkpoint_dir else {
         return Ok(0);
     };
+    let retention = inner.config.retention.is_some();
     fs::create_dir_all(dir)?;
     let mut files = 0;
     for tenant in inner.registry.all() {
         for (index, shard) in tenant.shards.iter().enumerate() {
             let mut state = lock(&shard.state);
-            let bytes = state.store.checkpoint(Vec::new())?;
-            state.wagg.fold();
-            let weighted = (!state.wagg.is_empty()).then(|| state.wagg.resident().encode());
+            let store = state.store.checkpoint(Vec::new())?;
+            let integer = retention.then(|| resident_bytes(&mut state.agg));
+            let weighted = (!state.wagg.is_empty()).then(|| resident_bytes(&mut state.wagg));
             drop(state);
-            let tmp = dir.join(format!("{}@{index}.ddts.tmp", tenant.name));
-            let path = dir.join(format!("{}@{index}.ddts", tenant.name));
-            fs::write(&tmp, &bytes)?;
-            fs::rename(&tmp, &path)?;
-            files += 1;
-            if let Some(weighted) = weighted {
-                let tmp = dir.join(format!("{}@{index}.ddsw.tmp", tenant.name));
-                let path = dir.join(format!("{}@{index}.ddsw", tenant.name));
-                fs::write(&tmp, &weighted)?;
-                fs::rename(&tmp, &path)?;
-                files += 1;
+            let stem = format!("{}@{index}", tenant.name);
+            let residents = [("ddsi", integer), ("ddsw", weighted)];
+            for (ext, bytes) in [("ddts", Some(store))].into_iter().chain(residents) {
+                if let Some(bytes) = bytes {
+                    write_checkpoint_file(dir, &stem, ext, &bytes)?;
+                    files += 1;
+                }
+            }
+            if !retention {
+                match fs::remove_file(dir.join(format!("{stem}.ddsi"))) {
+                    Err(e) if e.kind() != ErrorKind::NotFound => return Err(e.into()),
+                    _ => {}
+                }
             }
         }
     }
@@ -916,9 +952,12 @@ fn checkpoint_all(inner: &ServerInner) -> Result<usize, ServerError> {
     Ok(files)
 }
 
-/// Boot-time restore: load every `{tenant}@{shard}.ddts` under the
-/// checkpoint directory back into tenant state, rebuilding each shard's
-/// resident aggregator from the restored cells.
+/// Boot-time restore: load every `{tenant}@{shard}` checkpoint file under
+/// the checkpoint directory back into tenant state. A `.ddts` file
+/// restores the windowed store; the shard's integer resident is restored
+/// from its `.ddsi` file when retention is on and one exists, and is
+/// otherwise rebuilt from the restored cells. A `.ddsw` file restores the
+/// weighted resident.
 fn restore_checkpoints(inner: &Arc<ServerInner>) -> Result<(), ServerError> {
     let Some(dir) = &inner.config.checkpoint_dir else {
         return Ok(());
@@ -926,23 +965,21 @@ fn restore_checkpoints(inner: &Arc<ServerInner>) -> Result<(), ServerError> {
     if !dir.exists() {
         return Ok(());
     }
+    let retention = inner.config.retention.is_some();
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
-        let Some(file_name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let (stem, weighted) = if let Some(stem) = file_name.strip_suffix(".ddts") {
-            (stem, false)
-        } else if let Some(stem) = file_name.strip_suffix(".ddsw") {
-            (stem, true)
-        } else {
+        let Some((stem, ext)) = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .and_then(|n| n.rsplit_once('.'))
+            .filter(|(_, ext)| matches!(*ext, "ddts" | "ddsi" | "ddsw"))
+        else {
             continue;
         };
         let Some((tenant_name, index)) = stem.rsplit_once('@') else {
             return Err(ServerError::Protocol(format!(
-                "checkpoint file {} is not named tenant@shard.{}",
-                path.display(),
-                if weighted { "ddsw" } else { "ddts" }
+                "checkpoint file {} is not named tenant@shard.{ext}",
+                path.display()
             )));
         };
         let index: usize = index
@@ -954,37 +991,44 @@ fn restore_checkpoints(inner: &Arc<ServerInner>) -> Result<(), ServerError> {
                 path.display()
             )));
         }
-        if weighted {
-            // A `.ddsw` snapshot is one bare `DDS3` payload; `feed`
-            // re-runs the admission predicate, so a snapshot from a
-            // differently-configured server is rejected here.
-            let bytes = fs::read(&path)?;
-            let tenant = tenant(inner, tenant_name)?;
-            let mut state = lock(&tenant.shards[index].state);
-            state.wagg.feed(&bytes).map_err(ServerError::Sketch)?;
-            state.wagg.fold();
-            tenant.shards[index].publish_epoch(&state);
-            continue;
-        }
-        let file = fs::File::open(&path)?;
-        let store = TimeSeriesStore::restore(io::BufReader::new(file))?;
-        if store.config() != inner.config.sketch || store.window_secs() != inner.config.window_secs
-        {
-            return Err(ServerError::Protocol(format!(
-                "checkpoint {} was taken under a different configuration",
-                path.display()
-            )));
-        }
+        let store = if ext == "ddts" {
+            let file = fs::File::open(&path)?;
+            let store = TimeSeriesStore::restore(io::BufReader::new(file))?;
+            if store.config() != inner.config.sketch
+                || store.window_secs() != inner.config.window_secs
+            {
+                return Err(ServerError::Protocol(format!(
+                    "checkpoint {} was taken under a different configuration",
+                    path.display()
+                )));
+            }
+            Some(store)
+        } else {
+            None
+        };
         let tenant = tenant(inner, tenant_name)?;
         let mut state = lock(&tenant.shards[index].state);
         let ShardState {
-            agg, store: slot, ..
+            agg,
+            store: slot,
+            wagg,
         } = &mut *state;
-        *slot = store;
-        for (_, _, cell) in slot.cells() {
-            agg.feed(&cell.encode())?;
+        match (ext, store) {
+            ("ddsw", _) => restore_resident(wagg, &fs::read(&path)?)?,
+            ("ddsi", _) if retention => restore_resident(agg, &fs::read(&path)?)?,
+            (_, Some(store)) => {
+                *slot = store;
+                if !(retention && path.with_extension("ddsi").exists()) {
+                    for (_, _, cell) in slot.cells() {
+                        agg.feed(&cell.encode())?;
+                    }
+                    agg.fold();
+                }
+            }
+            // A `.ddsi` left by a run with retention: without retention
+            // the resident is rebuilt from the cells instead.
+            _ => {}
         }
-        agg.fold();
         tenant.shards[index].publish_epoch(&state);
     }
     Ok(())

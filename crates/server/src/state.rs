@@ -199,24 +199,8 @@ impl JobPayload {
     /// included) — what the tenant's weighted ingest total advances by.
     pub(crate) fn total_weight(&self) -> f64 {
         match self {
-            JobPayload::Integer(p) => {
-                let bins: u64 = p
-                    .positive
-                    .iter()
-                    .chain(p.negative.iter())
-                    .map(|&(_, c)| c)
-                    .sum();
-                (p.zero_count + bins) as f64
-            }
-            JobPayload::Weighted(p) => {
-                let bins: f64 = p
-                    .positive
-                    .iter()
-                    .chain(p.negative.iter())
-                    .map(|&(_, c)| c)
-                    .sum();
-                p.zero_count + bins
-            }
+            JobPayload::Integer(p) => p.total() as f64,
+            JobPayload::Weighted(p) => p.total(),
         }
     }
 }

@@ -682,6 +682,58 @@ fn ttl_retention_evicts_stale_windows() {
     server.shutdown().unwrap();
 }
 
+/// Retention evicts windowed-store cells only; COUNT and QUANTILE stay
+/// all-time. A graceful restart must serve the same answers byte for
+/// byte, so the shard's integer resident is checkpointed beside the
+/// store: rebuilt from the cells that survived eviction, it would serve
+/// COUNT 36 instead of 120.
+#[test]
+fn retention_answers_survive_a_restart() {
+    let dir = temp_dir("retention-restart");
+    let config = ServerConfig {
+        retention: Some(Duration::from_secs(30)),
+        checkpoint_dir: Some(dir.clone()),
+        ..server_config()
+    };
+    let server = ServerHandle::spawn(&Bind::Tcp("127.0.0.1:0".into()), config.clone()).unwrap();
+    let mut agent = AgentSender::connect(server.endpoint().clone(), "acme").unwrap();
+    // 120 values over ten 10 s windows of one metric (= one shard).
+    for w in 0..10u64 {
+        let values: Vec<f64> = (1..=12).map(|k| f64::from(k) * 0.5 + w as f64).collect();
+        agent
+            .send_encoded("api.latency", w * 10, &payload(values))
+            .unwrap();
+    }
+    agent.close().unwrap();
+    let mut client = QueryClient::connect(server.endpoint()).unwrap();
+    await_frames(&mut client, 10);
+    client.sync().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while client.stats().unwrap().evicted_cells < 7 {
+        assert!(Instant::now() < deadline, "retention sweep never evicted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let answers = |server: &ServerHandle| {
+        let mut out = Vec::new();
+        for line in ["COUNT acme", "QUANTILE acme 0.1 0.5 0.99"] {
+            server.execute(line, &mut out);
+        }
+        out
+    };
+    let before = answers(&server);
+    assert!(before.starts_with(b"+OK 120\n"), "{before:?}");
+    server.shutdown().unwrap();
+
+    let restarted = ServerHandle::spawn(&Bind::Tcp("127.0.0.1:0".into()), config).unwrap();
+    assert_eq!(
+        String::from_utf8(answers(&restarted)).unwrap(),
+        String::from_utf8(before).unwrap()
+    );
+    restarted.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Wire-level read-plane coherence: a server on the epoch-cached read
 /// plane answers the whole cacheable query family
 /// byte-identically to a locked-fold server fed the same frames, repeat
