@@ -382,43 +382,54 @@ mod tests {
         SketchPayloadOf::<C>::default().encode()[..4].to_vec()
     }
 
+    /// One body for both planes: bad frames are rejected without
+    /// touching the aggregator's state.
+    fn check_feed_rejects_bad_frames<C: CountPlane>(
+        first: &[(f64, C)],
+        second: &[(f64, C)],
+        total: C,
+    ) {
+        let config = SketchConfig::dense_collapsing(0.01, 256);
+        let mut agg = AggregatorOf::<C>::with_config(config, 8).unwrap();
+        agg.feed(&plane_frame(config, first)).unwrap();
+        // Corrupt bytes: truncation is Malformed, an unknown mapping
+        // discriminant is a (semantic) Decode error; both are
+        // rejected.
+        let magic = plane_magic::<C>();
+        assert!(matches!(agg.feed(&magic), Err(SketchError::Malformed(_))));
+        assert!(agg.feed(&[&magic[..], b"garbage"].concat()).is_err());
+        // Wrong store family and wrong alpha.
+        assert!(matches!(
+            agg.feed(&plane_frame(SketchConfig::sparse(0.01), first)),
+            Err(SketchError::IncompatibleMerge(_))
+        ));
+        assert!(matches!(
+            agg.feed(&plane_frame(
+                SketchConfig::dense_collapsing(0.02, 256),
+                first
+            )),
+            Err(SketchError::IncompatibleMerge(_))
+        ));
+        // A differing max_bins is accepted: the resident bound
+        // governs.
+        agg.feed(&plane_frame(
+            SketchConfig::dense_collapsing(0.01, 64),
+            second,
+        ))
+        .unwrap();
+        assert_eq!(agg.frames_received(), 2);
+        assert_eq!(agg.count(), total);
+        assert!(AggregatorOf::<C>::with_config(config, 0).is_err());
+    }
+
     #[test]
     fn feed_rejects_bad_frames_atomically() {
-        fn check<C: CountPlane>(first: &[(f64, C)], second: &[(f64, C)], total: C) {
-            let config = SketchConfig::dense_collapsing(0.01, 256);
-            let mut agg = AggregatorOf::<C>::with_config(config, 8).unwrap();
-            agg.feed(&plane_frame(config, first)).unwrap();
-            // Corrupt bytes: truncation is Malformed, an unknown mapping
-            // discriminant is a (semantic) Decode error; both are
-            // rejected.
-            let magic = plane_magic::<C>();
-            assert!(matches!(agg.feed(&magic), Err(SketchError::Malformed(_))));
-            assert!(agg.feed(&[&magic[..], b"garbage"].concat()).is_err());
-            // Wrong store family and wrong alpha.
-            assert!(matches!(
-                agg.feed(&plane_frame(SketchConfig::sparse(0.01), first)),
-                Err(SketchError::IncompatibleMerge(_))
-            ));
-            assert!(matches!(
-                agg.feed(&plane_frame(
-                    SketchConfig::dense_collapsing(0.02, 256),
-                    first
-                )),
-                Err(SketchError::IncompatibleMerge(_))
-            ));
-            // A differing max_bins is accepted: the resident bound
-            // governs.
-            agg.feed(&plane_frame(
-                SketchConfig::dense_collapsing(0.01, 64),
-                second,
-            ))
-            .unwrap();
-            assert_eq!(agg.frames_received(), 2);
-            assert_eq!(agg.count(), total);
-            assert!(AggregatorOf::<C>::with_config(config, 0).is_err());
-        }
-        check::<u64>(&[(1.0, 1), (2.0, 1)], &[(3.0, 1)], 3);
-        check::<f64>(&[(1.0, 2.5)], &[(3.0, 0.5)], 3.0);
+        check_feed_rejects_bad_frames::<u64>(&[(1.0, 1), (2.0, 1)], &[(3.0, 1)], 3);
+    }
+
+    #[test]
+    fn weighted_feed_rejects_bad_frames_atomically() {
+        check_feed_rejects_bad_frames::<f64>(&[(1.0, 2.5)], &[(3.0, 0.5)], 3.0);
     }
 
     #[test]
@@ -444,26 +455,32 @@ mod tests {
         );
     }
 
+    /// One body for both planes: an empty aggregator answers `Empty`.
+    fn check_empty_aggregator<C: CountPlane>() {
+        let mut agg = AggregatorOf::<C>::new(0.01, 256, 4).unwrap();
+        assert!(agg.is_empty());
+        assert!(matches!(agg.quantile(0.5), Err(SketchError::Empty)));
+        assert!(agg.quantiles(&[]).unwrap().is_empty());
+        assert_eq!(agg.fold(), 0);
+        // An empty payload is accepted and contributes nothing.
+        agg.feed(&plane_frame::<C>(
+            SketchConfig::dense_collapsing(0.01, 256),
+            &[],
+        ))
+        .unwrap();
+        assert!(agg.is_empty());
+        assert!(matches!(agg.quantile(0.5), Err(SketchError::Empty)));
+        assert!(AggregatorOf::<C>::new(0.01, 256, 0).is_err());
+    }
+
     #[test]
     fn empty_aggregator_behaviour() {
-        fn check<C: CountPlane>() {
-            let mut agg = AggregatorOf::<C>::new(0.01, 256, 4).unwrap();
-            assert!(agg.is_empty());
-            assert!(matches!(agg.quantile(0.5), Err(SketchError::Empty)));
-            assert!(agg.quantiles(&[]).unwrap().is_empty());
-            assert_eq!(agg.fold(), 0);
-            // An empty payload is accepted and contributes nothing.
-            agg.feed(&plane_frame::<C>(
-                SketchConfig::dense_collapsing(0.01, 256),
-                &[],
-            ))
-            .unwrap();
-            assert!(agg.is_empty());
-            assert!(matches!(agg.quantile(0.5), Err(SketchError::Empty)));
-            assert!(AggregatorOf::<C>::new(0.01, 256, 0).is_err());
-        }
-        check::<u64>();
-        check::<f64>();
+        check_empty_aggregator::<u64>();
+    }
+
+    #[test]
+    fn empty_weighted_aggregator_behaviour() {
+        check_empty_aggregator::<f64>();
     }
 
     fn weighted_frame(
