@@ -1,11 +1,15 @@
 //! [`QueryClient`]: the text-protocol client for a `sketchd` server —
 //! quantiles, metric listings, health/stats, checkpoint dumps.
 //!
-//! Floats travel as shortest-round-trip decimal text, so a value parsed
-//! from a response is bit-identical to the `f64` the server computed.
+//! Each request goes out as one `write_all`; each response comes back
+//! through one read buffer, so an answer shorter than the buffer costs
+//! one `read(2)`, not one per byte. Floats travel as shortest-round-trip
+//! decimal text, so a value parsed from a response is bit-identical to
+//! the `f64` the server computed.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 
+use ddsketch::codec::DEFAULT_MAX_FRAME_LEN;
 use pipeline::TimeSeriesStore;
 
 use crate::error::ServerError;
@@ -14,9 +18,18 @@ use crate::protocol::LineReader;
 use crate::state::{StatsSnapshot, TenantStats};
 
 /// A connected query session.
+///
+/// The socket's read side sits behind a `BufReader` (8 KiB): a response
+/// line is scanned out of the buffer, and each refill is one `read(2)`
+/// of whatever the kernel holds, up to the buffer's size. The body that
+/// follows a `+DUMP n` header is read through the same buffer, so bytes
+/// that arrived together with the header are not lost. Response lines
+/// may run up to [`DEFAULT_MAX_FRAME_LEN`] bytes — far above the
+/// server's [`crate::MAX_LINE`] request ceiling, which long `SERIES`,
+/// `STATS` and `METRICS` answers exceed.
 #[derive(Debug)]
 pub struct QueryClient {
-    conn: Conn,
+    conn: BufReader<Conn>,
     lines: LineReader,
 }
 
@@ -24,8 +37,8 @@ impl QueryClient {
     /// Dial `endpoint` and start a query session.
     pub fn connect(endpoint: &Endpoint) -> Result<Self, ServerError> {
         Ok(Self {
-            conn: endpoint.connect()?,
-            lines: LineReader::new(),
+            conn: BufReader::new(endpoint.connect()?),
+            lines: LineReader::new(DEFAULT_MAX_FRAME_LEN),
         })
     }
 
@@ -56,7 +69,7 @@ impl QueryClient {
         let mut request = String::with_capacity(line.len() + 1);
         request.push_str(line);
         request.push('\n');
-        self.conn.write_all(request.as_bytes())?;
+        self.conn.get_mut().write_all(request.as_bytes())?;
         let response = self.read_line()?;
         if let Some(message) = response.strip_prefix("-ERR ") {
             return Err(ServerError::Protocol(message.to_string()));
@@ -314,11 +327,13 @@ impl QueryClient {
     }
 
     /// Fetch one shard's raw checkpoint stream (`+DUMP <len>` followed
-    /// by exactly `len` binary bytes).
+    /// by exactly `len` binary bytes). The body is read through the
+    /// same buffer as the header, starting with whatever part of it
+    /// arrived alongside the header line.
     pub fn dump(&mut self, tenant: &str, shard: usize) -> Result<Vec<u8>, ServerError> {
         let mut request = format!("DUMP {tenant} {shard}");
         request.push('\n');
-        self.conn.write_all(request.as_bytes())?;
+        self.conn.get_mut().write_all(request.as_bytes())?;
         let response = self.read_line()?;
         if let Some(message) = response.strip_prefix("-ERR ") {
             return Err(ServerError::Protocol(message.to_string()));

@@ -24,8 +24,8 @@
 //!  └────────────────────┘           │ shard worker: absorb into       │
 //!  ┌────────────────────┐   text    │   Aggregator + TimeSeriesStore  │
 //!  │ QueryClient        │◀─lines───▶│ query handling: fold + k-way    │
-//!  └────────────────────┘           │   merged quantiles              │
-//!                                   │ checkpointer: {tenant}@{n}.ddts │
+//!  │ one buffered read  │           │   merged quantiles              │
+//!  └────────────────────┘           │ checkpointer: {tenant}@{n}.ddts │
 //!                                   └─────────────────────────────────┘
 //! ```
 //!
@@ -140,6 +140,12 @@
 //! Errors answer `-ERR <message>` on one line; the connection stays
 //! usable. Floats render via Rust's `{:?}` (shortest round-trip), so
 //! parsed responses are bit-identical to the server's values.
+//!
+//! Request lines are capped at [`MAX_LINE`] bytes. Response lines are
+//! not: [`QueryClient`] reads them through one buffer per connection,
+//! up to [`ddsketch::codec::DEFAULT_MAX_FRAME_LEN`] bytes, so a long
+//! `SERIES` or `STATS` answer arrives whole. The buffer serves the
+//! `DUMP` body too.
 //!
 //! ## Quick start (loopback)
 //!

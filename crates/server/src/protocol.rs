@@ -44,9 +44,11 @@ use std::io::{self, Read};
 use ddsketch::codec::varint::{get_varint, put_varint};
 use ddsketch::SketchError;
 
-/// Ceiling on one protocol line (handshake or query), bytes including
-/// nothing — the terminating `\n` is not stored. Longer lines are a
-/// protocol error; the connection is closed.
+/// Ceiling on one request line the server reads (handshake or query),
+/// in bytes — the terminating `\n` is not counted. Longer lines are a
+/// protocol error; the connection is closed. Response lines are not
+/// bound by it: the client reads them under
+/// [`ddsketch::codec::DEFAULT_MAX_FRAME_LEN`].
 pub const MAX_LINE: usize = 8192;
 
 /// Ceiling on a metric or tenant name, in bytes.
@@ -96,17 +98,30 @@ pub(crate) fn decode_envelope(frame: &[u8]) -> Result<(&str, u64, &[u8]), Sketch
 /// Byte-at-a-time line reader that is resumable across
 /// `WouldBlock`/`TimedOut`: a stalled read keeps the partial line and
 /// the next [`LineReader::poll_line`] call continues it. `Interrupted`
-/// is retried internally. Reading one byte at a time means the reader
-/// never consumes bytes past the `\n` — essential on ingest
-/// connections, where binary frames follow the handshake line.
-#[derive(Debug, Default)]
+/// is retried internally.
+///
+/// Both ends hand it a buffered source: the server's query and
+/// handshake reads come through the connection's `BufReader`, the
+/// client's responses through its own. The syscalls are the buffer's;
+/// the reader takes one byte at a time from it and so never consumes
+/// past the `\n` — the bytes after it stay in the buffer for whoever
+/// reads next (the binary frames after an `INGEST` handshake, the body
+/// after a `+DUMP n` header).
+#[derive(Debug)]
 pub(crate) struct LineReader {
     partial: Vec<u8>,
+    max_line: usize,
 }
 
 impl LineReader {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// A reader that rejects lines longer than `max_line` bytes: the
+    /// server reads requests under [`MAX_LINE`], the client reads
+    /// responses under a ceiling of its own.
+    pub(crate) fn new(max_line: usize) -> Self {
+        Self {
+            partial: Vec::new(),
+            max_line,
+        }
     }
 
     /// Read up to the next `\n`. `Ok(Some(line))` strips the newline
@@ -138,7 +153,7 @@ impl LineReader {
                             io::Error::new(io::ErrorKind::InvalidData, "protocol line is not UTF-8")
                         });
                     }
-                    if self.partial.len() >= MAX_LINE {
+                    if self.partial.len() >= self.max_line {
                         return Err(io::Error::new(
                             io::ErrorKind::InvalidData,
                             "protocol line exceeds the length ceiling",
@@ -360,7 +375,7 @@ mod tests {
             }
         }
         let mut source = OneByte(b"INGEST acme\r\nsecond line\n", 0, false);
-        let mut reader = LineReader::new();
+        let mut reader = LineReader::new(MAX_LINE);
         let mut lines = Vec::new();
         loop {
             match reader.poll_line(&mut source) {

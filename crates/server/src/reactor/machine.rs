@@ -28,7 +28,7 @@ use std::sync::Arc;
 use ddsketch::codec::FrameDecoder;
 use ddsketch::{SketchError, SketchPayload, WeightedSketchPayload};
 
-use crate::protocol::{decode_envelope, valid_name, LineReader};
+use crate::protocol::{decode_envelope, valid_name, LineReader, MAX_LINE};
 use crate::server::{decode_admitted, execute_line, is_retryable, tenant, ServerInner};
 use crate::state::{Job, JobPayload, Shard, ShardWaker, Stats, Tenant, TryPush};
 
@@ -118,7 +118,7 @@ impl<S: Read + Write> ConnMachine<S> {
             out: Vec::new(),
             out_pos: 0,
             phase: Phase::Handshake {
-                lines: LineReader::new(),
+                lines: LineReader::new(MAX_LINE),
             },
             close_after_flush: false,
             waker,

@@ -501,6 +501,79 @@ fn dump_and_checkpoint_roundtrip_over_the_wire() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A quiesced server holding `windows` ten-second windows of one
+/// metric, `values` distinct-bin observations per window, with the
+/// client used to wait for it.
+fn long_history_server(windows: u64, values: u32) -> (ServerHandle, QueryClient) {
+    let server = ServerHandle::spawn(&Bind::Tcp("127.0.0.1:0".into()), server_config()).unwrap();
+    let mut agent = AgentSender::connect(server.endpoint().clone(), "acme").unwrap();
+    for w in 0..windows {
+        let spread = (1..=values).map(|k| f64::from(k).powf(1.5) + w as f64 * 0.37);
+        agent
+            .send_encoded("api.latency", w * 10, &payload(spread))
+            .unwrap();
+    }
+    agent.close().unwrap();
+    let mut client = QueryClient::connect(server.endpoint()).unwrap();
+    await_frames(&mut client, windows);
+    client.sync().unwrap();
+    (server, client)
+}
+
+/// Responses are not bounded by the request-line ceiling: a 400-window
+/// `SERIES` line is longer than [`sketchd::MAX_LINE`], yet it crosses
+/// the socket exactly as the in-process `execute` renders it, and the
+/// same session then answers the next command.
+#[test]
+fn series_longer_than_the_request_ceiling_answers_whole() {
+    let (server, mut client) = long_history_server(400, 4);
+    let line = "SERIES acme api.latency 0.99";
+    let mut local = Vec::new();
+    server.execute(line, &mut local);
+    let local = String::from_utf8(local).unwrap();
+    assert!(local.len() > sketchd::MAX_LINE, "{} bytes", local.len());
+    let body = local
+        .strip_prefix("+OK ")
+        .and_then(|rest| rest.strip_suffix('\n'))
+        .unwrap();
+
+    assert_eq!(client.command(line).unwrap(), body);
+    let series = client.series("acme", "api.latency", 0.99).unwrap();
+    assert_eq!(series.len(), 400);
+    for (pair, (window, value)) in body.split(' ').zip(&series) {
+        let (w, v) = pair.split_once('=').unwrap();
+        assert_eq!(w.parse::<u64>().unwrap(), *window);
+        assert_eq!(v.parse::<f64>().unwrap().to_bits(), value.to_bits());
+    }
+    client.ping().unwrap();
+    server.shutdown().unwrap();
+}
+
+/// `DUMP` through the client's read buffer: the `+DUMP n` header and a
+/// body many times the buffer's size arrive back to back, and `dump`
+/// returns exactly the in-process bytes. The same session then answers
+/// `COUNT`, so no byte was lost or left behind in the buffer.
+#[test]
+fn dump_larger_than_the_read_buffer_keeps_the_session_in_step() {
+    let (server, mut client) = long_history_server(400, 300);
+    let mut largest = 0;
+    for shard in 0..4 {
+        let mut local = Vec::new();
+        server.execute(&format!("DUMP acme {shard}"), &mut local);
+        let header_end = local.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let body = &local[header_end..];
+        assert_eq!(
+            std::str::from_utf8(&local[..header_end]).unwrap(),
+            format!("+DUMP {}\n", body.len())
+        );
+        assert_eq!(client.dump("acme", shard).unwrap(), body);
+        assert_eq!(client.count("acme").unwrap(), 400 * 300);
+        largest = largest.max(body.len());
+    }
+    assert!(largest >= 64 << 10, "largest dump is {largest} bytes");
+    server.shutdown().unwrap();
+}
+
 /// The weighted count plane through the wire: one agent stream mixing
 /// integer `DDS2` and weighted `DDS3` frames, per-tenant totals in
 /// `STATS`, `WCOUNT`/`WQUANTILE` answering over both planes, and the
