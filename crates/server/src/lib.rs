@@ -18,11 +18,11 @@
 //! ```text
 //!  agents (AgentSender)                  sketchd (ServerHandle)
 //!  ┌────────────────────┐   DDSF    ┌─────────────────────────────────┐
-//!  │ sketch → envelope  │──frames──▶│ I/O plane: decode → route       │
+//!  │ sketch → envelope  │──frames──▶│ I/O plane: envelope → route     │
 //!  │ single write_all   │           │      │ bounded staging queue    │
 //!  │ retry + backoff    │           │      ▼ (backpressure)           │
-//!  └────────────────────┘           │ shard worker: absorb into       │
-//!  ┌────────────────────┐   text    │   Aggregator + TimeSeriesStore  │
+//!  └────────────────────┘           │ shard worker: decode, absorb    │
+//!  ┌────────────────────┐   text    │   into Aggregator + TS store    │
 //!  │ QueryClient        │◀─lines───▶│ query handling: fold + k-way    │
 //!  │ one buffered read  │           │   merged quantiles              │
 //!  └────────────────────┘           │ checkpointer: {tenant}@{n}.ddts │
@@ -54,8 +54,10 @@
 //! deregistered until the shard worker's pop wakes it back up (one
 //! waiter per freed slot, with a periodic sweep as the lost-wakeup
 //! backstop) — so backpressure still reaches agents through TCP while
-//! the loop keeps serving everyone else. Shard workers absorb staged
-//! frames on their own threads.
+//! the loop keeps serving everyone else. The loop decodes only each
+//! frame's envelope (metric and timestamp, to route it) and stages the
+//! payload's wire bytes; shard workers decode, admit and absorb the
+//! payloads on their own threads, in parallel across shards.
 //!
 //! `STATS` exposes the plane's state: `open_connections`, per-shard
 //! `staging_depth`, `ingest_suspensions`, and reactor wakeup/event
@@ -183,6 +185,7 @@ mod reactor;
 mod readplane;
 mod server;
 mod state;
+mod worker;
 
 pub use agent::{AgentSender, RetryPolicy};
 pub use client::QueryClient;

@@ -1,6 +1,12 @@
 //! Per-connection state machines for the reactor: the handshake, then
 //! either an ingest frame stream or a query line session.
 //!
+//! An ingest machine does the serial part of ingest only: it reads each
+//! frame, decodes its envelope (metric and timestamp, for routing),
+//! rejects a bad envelope, and stages the payload's wire bytes on the
+//! owning shard's queue. Payload decode and admission run on the shard
+//! workers, in parallel across shards.
+//!
 //! A machine owns its socket (read side wrapped in a [`BufReader`] so
 //! varint-by-varint decoding costs one syscall per ~16 KiB, not one
 //! per byte) and makes as much progress as the socket allows on each
@@ -26,13 +32,14 @@ use std::io::{BufReader, ErrorKind, Read, Write};
 use std::sync::Arc;
 
 use ddsketch::codec::FrameDecoder;
-use ddsketch::{SketchError, SketchPayload, WeightedSketchPayload};
+use ddsketch::SketchError;
 
 use crate::protocol::{decode_envelope, valid_name, LineReader, MAX_LINE};
-use crate::server::{decode_admitted, execute_line, is_retryable, tenant, ServerInner};
-use crate::state::{Job, JobPayload, Shard, ShardWaker, Stats, Tenant, TryPush};
+use crate::server::{execute_line, is_retryable, tenant, ServerInner};
+use crate::state::{Job, Shard, ShardWaker, Stats, Tenant, TryPush};
 
-/// Frames an ingest machine may decode per `on_ready` before yielding.
+/// Frames an ingest machine may read and stage per `on_ready` before
+/// yielding.
 pub(crate) const FRAME_BUDGET: usize = 256;
 /// Lines a query machine may answer per `on_ready` before yielding.
 pub(crate) const LINE_BUDGET: usize = 64;
@@ -56,21 +63,20 @@ struct IngestPhase {
     tenant: Arc<Tenant>,
     decoder: FrameDecoder,
     frame: Vec<u8>,
-    spare_payload: SketchPayload,
-    spare_weighted: WeightedSketchPayload,
+    spare_payload: Vec<u8>,
     spare_metric: String,
-    /// A job bounced by a full staging queue, retried before any new
-    /// frame is decoded — frames are never reordered or dropped.
-    pending: Option<(Arc<Shard>, Job)>,
+    /// A job bounced by a full staging queue, with its envelope length,
+    /// retried before any new frame is read — frames are never
+    /// reordered or dropped.
+    pending: Option<(Arc<Shard>, Job, usize)>,
 }
 
 impl IngestPhase {
-    /// Return a recycled payload to the spare slot of its count plane.
-    fn store_spare(&mut self, payload: JobPayload) {
-        match payload {
-            JobPayload::Integer(p) => self.spare_payload = p,
-            JobPayload::Weighted(p) => self.spare_weighted = p,
-        }
+    /// A job landed on its staging queue: count its envelope bytes and
+    /// keep the recycled buffers for the next frame.
+    fn staged(&mut self, inner: &ServerInner, spare: (Vec<u8>, String), envelope_len: usize) {
+        Stats::add(&inner.stats.bytes_ingested, envelope_len as u64);
+        (self.spare_payload, self.spare_metric) = spare;
     }
 }
 
@@ -95,7 +101,7 @@ enum Flush {
 }
 
 enum Stage {
-    Stored((JobPayload, String)),
+    Stored((Vec<u8>, String)),
     Suspend(Job),
     Closed,
 }
@@ -249,9 +255,9 @@ impl<S: Read + Write> ConnMachine<S> {
                 Err(_) => Control::Step(self.close(inner, false)),
             },
             Phase::Ingest(mut ing) => {
-                if let Some((shard, job)) = ing.pending.take() {
+                if let Some((shard, job, envelope_len)) = ing.pending.take() {
                     match stage_once(inner, &shard, job, &self.waker) {
-                        Stage::Stored((payload, metric)) => {
+                        Stage::Stored(spare) => {
                             // This machine just came back from
                             // suspension. If the idle sweep (rather
                             // than a pop) resumed it, its waiter is
@@ -259,11 +265,10 @@ impl<S: Read + Write> ConnMachine<S> {
                             // a one-shot wake some other suspended
                             // connection needs — drop it.
                             shard.remove_waiter(&self.waker);
-                            ing.store_spare(payload);
-                            ing.spare_metric = metric;
+                            ing.staged(inner, spare, envelope_len);
                         }
                         Stage::Suspend(job) => {
-                            ing.pending = Some((shard, job));
+                            ing.pending = Some((shard, job, envelope_len));
                             self.phase = Phase::Ingest(ing);
                             return Control::Step(Step::Suspended);
                         }
@@ -313,8 +318,7 @@ impl<S: Read + Write> ConnMachine<S> {
             tenant,
             decoder: FrameDecoder::with_max_frame_len(inner.config.max_frame_len),
             frame: Vec::new(),
-            spare_payload: SketchPayload::default(),
-            spare_weighted: WeightedSketchPayload::default(),
+            spare_payload: Vec::new(),
             spare_metric: String::new(),
             pending: None,
         }));
@@ -337,49 +341,36 @@ impl<S: Read + Write> ConnMachine<S> {
         Control::Continue
     }
 
-    /// Envelope decode + admission for one newly read frame: corrupt or
-    /// incompatible payloads are rejected before staging, and intact
-    /// framing lets the stream go on.
+    /// Route and stage one newly read frame. Only the envelope is
+    /// decoded here: a bad one is rejected and the stream goes on, a good
+    /// one stages its payload's wire bytes for the owning shard's worker
+    /// to decode and admit.
     fn ingest_frame(&self, inner: &ServerInner, ing: &mut IngestPhase) -> IngestOutcome {
-        match decode_envelope(&ing.frame) {
-            Ok((metric, ts_secs, payload_bytes)) => {
-                let payload = decode_admitted(
-                    inner,
-                    payload_bytes,
-                    &mut ing.spare_payload,
-                    &mut ing.spare_weighted,
-                );
-                if let Some(payload) = payload {
-                    ing.spare_metric.clear();
-                    ing.spare_metric.push_str(metric);
-                    Stats::add(&inner.stats.bytes_ingested, ing.frame.len() as u64);
-                    let shard = ing.tenant.shard_for(&ing.spare_metric).clone();
-                    let job = Job {
-                        metric: std::mem::take(&mut ing.spare_metric),
-                        ts_secs,
-                        payload,
-                    };
-                    match stage_once(inner, &shard, job, &self.waker) {
-                        Stage::Stored((payload, metric)) => {
-                            ing.store_spare(payload);
-                            ing.spare_metric = metric;
-                            IngestOutcome::Ok
-                        }
-                        Stage::Suspend(job) => {
-                            ing.pending = Some((shard, job));
-                            IngestOutcome::Suspend
-                        }
-                        Stage::Closed => IngestOutcome::ShardClosed,
-                    }
-                } else {
-                    Stats::add(&inner.stats.frames_rejected, 1);
-                    IngestOutcome::Ok
-                }
-            }
-            Err(_) => {
-                Stats::add(&inner.stats.frames_rejected, 1);
+        let Ok((metric, ts_secs, payload_bytes)) = decode_envelope(&ing.frame) else {
+            Stats::add(&inner.stats.frames_rejected, 1);
+            return IngestOutcome::Ok;
+        };
+        ing.spare_metric.clear();
+        ing.spare_metric.push_str(metric);
+        ing.spare_payload.clear();
+        ing.spare_payload.extend_from_slice(payload_bytes);
+        let envelope_len = ing.frame.len();
+        let shard = ing.tenant.shard_for(&ing.spare_metric).clone();
+        let job = Job {
+            metric: std::mem::take(&mut ing.spare_metric),
+            ts_secs,
+            payload: std::mem::take(&mut ing.spare_payload),
+        };
+        match stage_once(inner, &shard, job, &self.waker) {
+            Stage::Stored(spare) => {
+                ing.staged(inner, spare, envelope_len);
                 IngestOutcome::Ok
             }
+            Stage::Suspend(job) => {
+                ing.pending = Some((shard, job, envelope_len));
+                IngestOutcome::Suspend
+            }
+            Stage::Closed => IngestOutcome::ShardClosed,
         }
     }
 }

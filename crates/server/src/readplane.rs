@@ -198,7 +198,7 @@ pub(crate) fn cacheable(line: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{Job, JobPayload, ShardState, Stats, TryPush};
+    use crate::state::{Job, ShardState, Stats, TryPush};
     use ddsketch::{SketchConfig, SketchPayload, WeightedSketchPayload};
     use proptest::prelude::*;
 
@@ -218,40 +218,34 @@ mod tests {
         s.encode()
     }
 
-    /// Drive one shard exactly like a worker would: stage, pop, absorb
-    /// under the state lock, publish the epoch, complete.
+    /// Drive one shard exactly like a worker would: stage, pop, decode,
+    /// absorb under the state lock, publish the epoch, complete.
     fn absorb(tenant: &Tenant, metric: &str, frame: &[u8], weighted: bool) {
         let shard = tenant.shard_for(metric).clone();
-        let payload = if weighted {
-            let mut p = WeightedSketchPayload::default();
-            p.decode_into(frame).unwrap();
-            JobPayload::Weighted(p)
-        } else {
-            let mut p = SketchPayload::default();
-            p.decode_into(frame).unwrap();
-            JobPayload::Integer(p)
-        };
         let job = Job {
             metric: metric.to_string(),
             ts_secs: 0,
-            payload,
+            payload: frame.to_vec(),
         };
         assert!(matches!(shard.try_push(job), TryPush::Stored(_)));
         let job = shard.pop().unwrap();
         let mut state = lock(&shard.state);
-        match job.payload {
-            JobPayload::Integer(p) => {
-                state
-                    .store
-                    .absorb_payload(&job.metric, job.ts_secs, &p)
-                    .unwrap();
-                state.agg.feed_payload(p).unwrap();
-            }
-            JobPayload::Weighted(p) => state.wagg.feed_payload(p).unwrap(),
+        if weighted {
+            let mut p = WeightedSketchPayload::default();
+            p.decode_into(&job.payload).unwrap();
+            state.wagg.feed_payload(p).unwrap();
+        } else {
+            let mut p = SketchPayload::default();
+            p.decode_into(&job.payload).unwrap();
+            state
+                .store
+                .absorb_payload(&job.metric, job.ts_secs, &p)
+                .unwrap();
+            state.agg.feed_payload(p).unwrap();
         }
         shard.publish_epoch(&state);
         drop(state);
-        shard.complete(JobPayload::Integer(SketchPayload::default()), job.metric);
+        shard.complete(job.payload, job.metric);
     }
 
     /// The "fresh under-lock fold" reference: fold the live state and

@@ -4,12 +4,14 @@
 //! ## Thread model
 //!
 //! * **reactor** — one event-loop thread owns the listener and every
-//!   agent and query socket (see the `reactor` module): it decodes and
-//!   stages ingest frames and answers query lines without ever parking
-//!   on a socket or a staging queue.
-//! * **shard workers** — one per (tenant, shard): pop staged jobs and
-//!   absorb them into the shard's aggregator + time-series store under
-//!   the shard's state lock.
+//!   agent and query socket (see the `reactor` module): it reads ingest
+//!   frames, routes them on their envelopes and stages their payload
+//!   bytes, and answers query lines, without ever parking on a socket
+//!   or a staging queue.
+//! * **shard workers** — one per (tenant, shard), see the `worker`
+//!   module: pop staged jobs, decode and admit each payload, and absorb
+//!   it into the shard's aggregator + time-series store under the
+//!   shard's state lock.
 //! * **checkpointer** — optional: periodically snapshots every shard's
 //!   store to `{tenant}@{shard}.ddts` and its residents to `.ddsi`/`.ddsw`
 //!   (tmp + rename, so a crash mid-write never clobbers the previous good
@@ -31,19 +33,15 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ddsketch::codec::{SketchView, DEFAULT_MAX_FRAME_LEN};
-use ddsketch::{
-    AnyDDSketch, AnyWeightedDDSketch, CountPlane, SketchConfig, SketchError, SketchPayload,
-    SketchPayloadOf, WeightedSketchPayload,
-};
+use ddsketch::{AnyDDSketch, AnyWeightedDDSketch, CountPlane, SketchConfig, SketchError};
 use pipeline::{AggregatorOf, TimeSeriesStore};
 
 use crate::error::ServerError;
 use crate::net::{Bind, Endpoint, Listener};
 use crate::protocol::{fmt_f64, parse_command, valid_name, Command};
 use crate::readplane::{cacheable, CacheFill, CacheScope, QueryCache, ShardSnapshot};
-use crate::state::{
-    lock, Job, JobPayload, Registry, Shard, ShardState, Stats, StatsSnapshot, Tenant, TenantStats,
-};
+use crate::state::{lock, Registry, ShardState, Stats, StatsSnapshot, Tenant, TenantStats};
+use crate::worker::worker_loop;
 
 /// How queries read tenant state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,9 +95,10 @@ pub struct ServerConfig {
     /// retains everything — the pre-retention behaviour.
     pub retention: Option<Duration>,
     /// Under [`ReadPlane::EpochCached`], how many frames a shard worker
-    /// absorbs between snapshot republishes while its queue stays busy
-    /// (it always republishes when the queue drains). This bounds how
-    /// far a served answer can trail ingest during a sustained burst.
+    /// takes off its queue between snapshot republishes while the queue
+    /// stays busy (it always republishes when the queue drains). This
+    /// bounds how far a served answer can trail ingest during a
+    /// sustained burst.
     pub snapshot_refresh: usize,
 }
 
@@ -323,108 +322,8 @@ pub(crate) fn tenant(inner: &Arc<ServerInner>, name: &str) -> Result<Arc<Tenant>
     Ok(tenant)
 }
 
-/// One shard worker: absorb staged jobs until the shard closes and its
-/// backlog drains. Under [`ReadPlane::EpochCached`] the worker also
-/// owns snapshot publishing: it republishes the shard's read snapshot
-/// every [`ServerConfig::snapshot_refresh`] absorbed frames while the
-/// queue stays busy, and whenever the queue drains — so queries under
-/// sustained ingest serve boundedly-stale snapshots without ever
-/// contending on the state lock, and a drained shard always serves
-/// exact answers.
-fn worker_loop(inner: &ServerInner, tenant: &Tenant, shard: &Shard) {
-    let refresh_every = inner.config.snapshot_refresh.max(1);
-    let mut since_refresh = 0usize;
-    while let Some(Job {
-        metric,
-        ts_secs,
-        payload,
-    }) = shard.pop()
-    {
-        let weight = payload.total_weight();
-        let mut state = lock(&shard.state);
-        let spare = match payload {
-            // Integer frames feed both exact-plane sinks from the one
-            // decode. Both run the same admission predicate as the
-            // reactor's pre-check, so neither can fail here —
-            // but a failure must still leave agg and store consistent:
-            // skip both.
-            JobPayload::Integer(payload) => {
-                match state.store.absorb_payload(&metric, ts_secs, &payload) {
-                    Ok(()) => match state.agg.feed_payload(payload) {
-                        Ok(()) => {
-                            Stats::add(&inner.stats.frames_ingested, 1);
-                            Stats::add(&tenant.frames_absorbed, 1);
-                            tenant.add_weight(weight);
-                            JobPayload::Integer(state.agg.take_spare())
-                        }
-                        Err(_) => {
-                            Stats::add(&inner.stats.frames_rejected, 1);
-                            JobPayload::Integer(state.agg.take_spare())
-                        }
-                    },
-                    Err(_) => {
-                        Stats::add(&inner.stats.frames_rejected, 1);
-                        JobPayload::Integer(payload)
-                    }
-                }
-            }
-            // `DDS3` frames land on the weighted plane only (the
-            // windowed store's rollups stay on exact integer counts).
-            JobPayload::Weighted(payload) => match state.wagg.feed_payload(payload) {
-                Ok(()) => {
-                    Stats::add(&inner.stats.frames_ingested, 1);
-                    Stats::add(&tenant.frames_absorbed, 1);
-                    tenant.add_weight(weight);
-                    JobPayload::Weighted(state.wagg.take_spare())
-                }
-                Err(_) => {
-                    Stats::add(&inner.stats.frames_rejected, 1);
-                    JobPayload::Weighted(state.wagg.take_spare())
-                }
-            },
-        };
-        shard.publish_epoch(&state);
-        drop(state);
-        shard.complete(spare, metric);
-        if inner.config.read_plane == ReadPlane::EpochCached {
-            since_refresh += 1;
-            if since_refresh >= refresh_every || shard.live_depth() == 0 {
-                since_refresh = 0;
-                shard.refresh_snapshot(&inner.stats);
-            }
-        }
-    }
-}
-
 pub(crate) fn is_retryable(e: &io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-}
-
-/// Decode one envelope payload into the spare buffer of its count plane
-/// (routed by the payload magic) and run the admission predicate.
-/// Returns the staged payload (the spare is `mem::take`n) or `None` if
-/// the frame must be rejected. Called by the reactor's ingest machines
-/// for every frame they read.
-pub(crate) fn decode_admitted(
-    inner: &ServerInner,
-    payload_bytes: &[u8],
-    spare_payload: &mut SketchPayload,
-    spare_weighted: &mut WeightedSketchPayload,
-) -> Option<JobPayload> {
-    fn admit<C: CountPlane>(
-        spare: &mut SketchPayloadOf<C>,
-        bytes: &[u8],
-        config: &SketchConfig,
-    ) -> Option<SketchPayloadOf<C>> {
-        (spare.decode_into(bytes).is_ok() && spare.matches_config(config))
-            .then(|| std::mem::take(spare))
-    }
-    let config = &inner.config.sketch;
-    if payload_bytes.get(..4) == Some(b"DDS3") {
-        admit(spare_weighted, payload_bytes, config).map(JobPayload::Weighted)
-    } else {
-        admit(spare_payload, payload_bytes, config).map(JobPayload::Integer)
-    }
 }
 
 fn respond(out: &mut Vec<u8>, line: &str) {

@@ -17,17 +17,17 @@
 //! the ingest connection (registering a [`ShardWaker`] that the next
 //! [`Shard::pop`] fires). A suspended connection reads nothing further,
 //! so the stall propagates to the agent as TCP backpressure — the
-//! server throttles instead of buffering unboundedly. Payload buffers
-//! and metric-name strings are recycled through the queue in a
+//! server throttles instead of buffering unboundedly. Payload wire-byte
+//! buffers and metric-name strings are recycled through the queue in a
 //! ping-pong: `try_push` hands back a spare pair for the connection's
-//! next decode, and workers return spent buffers via
+//! next frame, and workers return spent buffers via
 //! [`Shard::complete`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use ddsketch::{SketchConfig, SketchPayload, WeightedSketchPayload};
+use ddsketch::SketchConfig;
 use pipeline::{Aggregator, TimeSeriesStore, WeightedAggregator};
 
 use crate::readplane::ShardSnapshot;
@@ -120,10 +120,11 @@ impl Stats {
 pub struct StatsSnapshot {
     /// Frames decoded, routed, and absorbed into tenant state.
     pub frames_ingested: u64,
-    /// Frames rejected (corrupt bytes or incompatible configuration)
-    /// without touching tenant state.
+    /// Frames rejected without touching tenant state: by the reactor
+    /// (corrupt envelope or framing) or by a shard worker (corrupt
+    /// payload bytes or incompatible configuration).
     pub frames_rejected: u64,
-    /// Envelope bytes of accepted frames.
+    /// Envelope bytes of frames staged for absorption.
     pub bytes_ingested: u64,
     /// Connections accepted over the server's lifetime.
     pub connections_total: u64,
@@ -181,36 +182,14 @@ pub struct TenantStats {
     pub weighted_total: f64,
 }
 
-/// A staged payload on one of the two count planes. Integer (`DDS1`/
-/// `DDS2`) frames keep the exact `u64` plane; `DDS3` frames carry `f64`
-/// weights. Each variant recycles through its own spare pool.
-#[derive(Debug)]
-pub(crate) enum JobPayload {
-    Integer(SketchPayload),
-    Weighted(WeightedSketchPayload),
-}
-
-impl JobPayload {
-    pub(crate) fn is_weighted(&self) -> bool {
-        matches!(self, JobPayload::Weighted(_))
-    }
-
-    /// Total observation weight the payload carries (zero bucket
-    /// included) — what the tenant's weighted ingest total advances by.
-    pub(crate) fn total_weight(&self) -> f64 {
-        match self {
-            JobPayload::Integer(p) => p.total() as f64,
-            JobPayload::Weighted(p) => p.total(),
-        }
-    }
-}
-
-/// One routed, decoded frame awaiting absorption by a shard worker.
+/// One routed frame awaiting a shard worker: the envelope's metric and
+/// timestamp, and the payload's wire bytes. The worker decodes and
+/// admits the payload itself, so the reactor only frames and routes.
 #[derive(Debug)]
 pub(crate) struct Job {
     pub metric: String,
     pub ts_secs: u64,
-    pub payload: JobPayload,
+    pub payload: Vec<u8>,
 }
 
 /// The sketch state a shard worker owns: the tenant-shard's resident
@@ -239,9 +218,9 @@ pub(crate) trait ShardWaker: Send + Sync + std::fmt::Debug {
 /// untouched, so no accepted frame is ever dropped on a full queue.
 #[derive(Debug)]
 pub(crate) enum TryPush {
-    /// Staged; here are recycled `(payload, metric string)` buffers of
-    /// the same count plane as the staged job.
-    Stored((JobPayload, String)),
+    /// Staged; here are recycled `(payload bytes, metric string)`
+    /// buffers for the connection's next frame.
+    Stored((Vec<u8>, String)),
     /// Queue at its bound — suspend and retry after a waker fires.
     Full(Job),
     /// Shard closed (server shutting down); the job will never land.
@@ -251,10 +230,9 @@ pub(crate) enum TryPush {
 #[derive(Debug, Default)]
 struct StagingInner {
     queue: VecDeque<Job>,
-    /// Spent decode buffers flowing back to ingest connections, one
-    /// pool per count plane.
-    spare_payloads: Vec<SketchPayload>,
-    spare_weighted: Vec<WeightedSketchPayload>,
+    /// Spent payload-byte and metric buffers flowing back to ingest
+    /// connections.
+    spare_frames: Vec<Vec<u8>>,
     spare_strings: Vec<String>,
     /// Jobs popped but not yet [`Shard::complete`]d — `sync` must wait
     /// for these too, or a drained queue could still mean an absorb in
@@ -268,17 +246,6 @@ struct StagingInner {
     /// sweep covers any wake consumed by a connection that had already
     /// moved on.
     waiters: Vec<Arc<dyn ShardWaker>>,
-}
-
-impl StagingInner {
-    /// A recycled payload buffer of the requested count plane.
-    fn take_spare(&mut self, weighted: bool) -> JobPayload {
-        if weighted {
-            JobPayload::Weighted(self.spare_weighted.pop().unwrap_or_default())
-        } else {
-            JobPayload::Integer(self.spare_payloads.pop().unwrap_or_default())
-        }
-    }
 }
 
 /// `snap_epoch` value meaning "no snapshot installed yet". Epochs are
@@ -421,10 +388,9 @@ impl Shard {
 
     /// Stage the job if the queue has room, hand it straight back
     /// otherwise — the event loop must never park on a full queue.
-    /// Returns recycled `(payload, metric string)` buffers of the
-    /// job's count plane for the connection's next decode.
+    /// Returns recycled `(payload bytes, metric string)` buffers for the
+    /// connection's next frame.
     pub(crate) fn try_push(&self, job: Job) -> TryPush {
-        let weighted = job.payload.is_weighted();
         let mut inner = lock(&self.staging);
         if inner.closed {
             drop(job);
@@ -437,7 +403,7 @@ impl Shard {
         inner.high_watermark = inner.high_watermark.max(inner.queue.len());
         self.live.fetch_add(1, Ordering::Relaxed);
         let spare = (
-            inner.take_spare(weighted),
+            inner.spare_frames.pop().unwrap_or_default(),
             inner.spare_strings.pop().unwrap_or_default(),
         );
         drop(inner);
@@ -501,13 +467,11 @@ impl Shard {
 
     /// Worker side: mark the previously popped job absorbed and return
     /// its buffers to the recycle pools.
-    pub(crate) fn complete(&self, payload: JobPayload, mut metric: String) {
+    pub(crate) fn complete(&self, mut payload: Vec<u8>, mut metric: String) {
+        payload.clear();
         metric.clear();
         let mut inner = lock(&self.staging);
-        match payload {
-            JobPayload::Integer(p) => inner.spare_payloads.push(p),
-            JobPayload::Weighted(p) => inner.spare_weighted.push(p),
-        }
+        inner.spare_frames.push(payload);
         inner.spare_strings.push(metric);
         inner.in_flight -= 1;
         // The worker has already published the epoch for this job (it
@@ -687,7 +651,7 @@ mod tests {
         let job = |i: u64| Job {
             metric: format!("m{i}"),
             ts_secs: i,
-            payload: JobPayload::Integer(SketchPayload::default()),
+            payload: Vec::new(),
         };
         let stored = |outcome: TryPush| match outcome {
             TryPush::Stored(spare) => spare,
@@ -720,7 +684,7 @@ mod tests {
         assert!(!syncer.is_finished(), "sync returned with jobs pending");
 
         // Completing a job returns its buffers to the recycle pools: the
-        // next push of the same count plane hands them back, cleared.
+        // next push hands them back, cleared, capacity kept.
         let Job {
             metric: mut spent_metric,
             payload: mut spent_payload,
@@ -728,18 +692,15 @@ mod tests {
         } = popped;
         spent_metric.reserve(64);
         let metric_capacity = spent_metric.capacity();
-        if let JobPayload::Integer(p) = &mut spent_payload {
-            p.positive.reserve(32);
-        }
+        spent_payload.extend_from_slice(b"DDS2 payload bytes");
+        let payload_capacity = spent_payload.capacity();
         shard.complete(spent_payload, spent_metric);
         let next = shard.pop().unwrap();
         let (spare_payload, spare_metric) = stored(shard.try_push(job(3)));
         assert!(spare_metric.is_empty());
         assert_eq!(spare_metric.capacity(), metric_capacity);
-        match spare_payload {
-            JobPayload::Integer(p) => assert!(p.positive.capacity() >= 32),
-            JobPayload::Weighted(_) => panic!("recycled across count planes"),
-        }
+        assert!(spare_payload.is_empty());
+        assert_eq!(spare_payload.capacity(), payload_capacity);
         shard.complete(next.payload, next.metric);
 
         // Drain; the syncer returns once queue and in-flight are empty.
@@ -780,7 +741,7 @@ mod tests {
         let job = |i: u64| Job {
             metric: format!("m{i}"),
             ts_secs: i,
-            payload: JobPayload::Integer(SketchPayload::default()),
+            payload: Vec::new(),
         };
 
         assert!(matches!(shard.try_push(job(0)), TryPush::Stored(_)));

@@ -939,6 +939,143 @@ fn protocol_errors_are_contained() {
     server.shutdown().unwrap();
 }
 
+/// A `DDS3` payload with one bin whose weight is `weight`, written
+/// through the raw-`f64` escape. Used to forge weights no encoder emits.
+fn weighted_with_escape(weight: f64) -> Vec<u8> {
+    use ddsketch::AnyWeightedDDSketch;
+    let mut sketch = AnyWeightedDDSketch::new(cfg()).unwrap();
+    sketch.add_with_count(10.0, 0.25).unwrap();
+    let mut bytes = sketch.encode();
+    // The escape tag `1` followed by the weight's little-endian bits.
+    let mut escape = vec![1u8];
+    escape.extend_from_slice(&0.25f64.to_le_bytes());
+    let at = bytes
+        .windows(escape.len())
+        .rposition(|w| w == escape.as_slice())
+        .expect("non-integral weight is escaped");
+    bytes[at + 1..at + 9].copy_from_slice(&weight.to_le_bytes());
+    bytes
+}
+
+/// Payload admission runs on the shard workers. Frames with a valid
+/// envelope but a corrupt, hostile, or differently configured payload
+/// are interleaved with good frames on one connection: each is rejected
+/// and counted, the connection stays open, and the served answers are
+/// byte-identical to a server that only ever saw the good frames.
+#[test]
+fn worker_rejects_bad_payloads_and_the_stream_goes_on() {
+    use ddsketch::{AnyWeightedDDSketch, SketchPayload, WeightedSketchPayload};
+
+    let good_integer = payload((1..=40).map(|k| f64::from(k) * 0.75));
+    // A bit flip inside the bin sections that the decoder must catch:
+    // the first, scanning from the middle of the payload, that fails.
+    let bit_flipped = (good_integer.len() / 2..good_integer.len())
+        .flat_map(|pos| (0..8).map(move |bit| (pos, bit)))
+        .map(|(pos, bit)| {
+            let mut bytes = good_integer.clone();
+            bytes[pos] ^= 1 << bit;
+            bytes
+        })
+        .find(|bytes| SketchPayload::decode(bytes).is_err())
+        .expect("some bit flip is detectable");
+    let truncated = good_integer[..good_integer.len() - 3].to_vec();
+    let nan_weight = weighted_with_escape(f64::NAN);
+    let negative_weight = weighted_with_escape(-0.25);
+    let mut other_alpha = SketchConfig::dense_collapsing(0.02, 2048).build().unwrap();
+    other_alpha.add(3.0).unwrap();
+    let other_alpha = other_alpha.encode();
+    // Each bad payload fails exactly the check it is meant to exercise.
+    assert!(SketchPayload::decode(&truncated).is_err());
+    assert!(WeightedSketchPayload::decode(&nan_weight).is_err());
+    assert!(WeightedSketchPayload::decode(&negative_weight).is_err());
+    assert!(!SketchPayload::decode(&other_alpha)
+        .unwrap()
+        .matches_config(&cfg()));
+    let bad = [
+        bit_flipped,
+        truncated,
+        nan_weight,
+        negative_weight,
+        other_alpha,
+    ];
+
+    // The schedule: per round one good integer frame, one bad frame and
+    // (every other round) one good `DDS3` frame. Dyadic weights keep the
+    // f64 totals exact in any fold order.
+    const ROUNDS: usize = 20;
+    let mut frames: Vec<(String, u64, Vec<u8>, bool)> = Vec::new();
+    for i in 0..ROUNDS {
+        let metric = format!("m{}", i % 5);
+        let ts = (i as u64 % 4) * 10;
+        let values = (1..=24).map(|k| f64::from(k) * 1.25 + i as f64);
+        frames.push((metric.clone(), ts, payload(values), true));
+        frames.push((metric.clone(), ts, bad[i % bad.len()].clone(), false));
+        if i % 2 == 0 {
+            let mut weighted = AnyWeightedDDSketch::new(cfg()).unwrap();
+            for k in 1..=6u32 {
+                let w = f64::from(k % 4) * 0.25 + 0.5;
+                weighted
+                    .add_with_count(f64::from(k) * 2.5 + i as f64, w)
+                    .unwrap();
+            }
+            frames.push((metric, ts, weighted.encode(), true));
+        }
+    }
+    let good = frames.iter().filter(|f| f.3).count() as u64;
+    let rejected = frames.len() as u64 - good;
+
+    let spawn = || ServerHandle::spawn(&Bind::Tcp("127.0.0.1:0".into()), server_config()).unwrap();
+    let (mixed, clean) = (spawn(), spawn());
+    let mut mixed_agent = AgentSender::connect(mixed.endpoint().clone(), "acme").unwrap();
+    let mut clean_agent = AgentSender::connect(clean.endpoint().clone(), "acme").unwrap();
+    for (metric, ts, bytes, is_good) in &frames {
+        mixed_agent.send_encoded(metric, *ts, bytes).unwrap();
+        if *is_good {
+            clean_agent.send_encoded(metric, *ts, bytes).unwrap();
+        }
+    }
+
+    let mut mixed_client = QueryClient::connect(mixed.endpoint()).unwrap();
+    await_frames(&mut mixed_client, frames.len() as u64);
+    mixed_client.sync().unwrap();
+    let stats = mixed_client.stats().unwrap();
+    assert_eq!(stats.frames_rejected, rejected);
+    assert_eq!(stats.frames_ingested, good);
+    assert_eq!(stats.ingest_disconnects, 0);
+    assert_eq!(stats.open_connections, 2, "the ingest stream is still open");
+
+    // The same connection keeps ingesting after the rejects.
+    let last = payload([0.5, 99.0]);
+    mixed_agent.send_encoded("m0", 0, &last).unwrap();
+    clean_agent.send_encoded("m0", 0, &last).unwrap();
+    assert_eq!(mixed_agent.reconnects(), 0);
+    mixed_agent.close().unwrap();
+    clean_agent.close().unwrap();
+    let stats = await_frames(&mut mixed_client, frames.len() as u64 + 1);
+    assert_eq!(stats.frames_rejected, rejected);
+    assert_eq!(stats.ingest_disconnects, 0);
+    mixed_client.sync().unwrap();
+    let mut clean_client = QueryClient::connect(clean.endpoint()).unwrap();
+    await_frames(&mut clean_client, good + 1);
+    clean_client.sync().unwrap();
+
+    for line in [
+        "COUNT acme",
+        "WCOUNT acme",
+        "QUANTILE acme 0 0.01 0.25 0.5 0.75 0.9 0.99 1",
+        "WQUANTILE acme 0 0.01 0.25 0.5 0.75 0.9 0.99 1",
+        "SERIES acme m0 0.5",
+    ] {
+        assert_eq!(
+            mixed_client.command(line).unwrap(),
+            clean_client.command(line).unwrap(),
+            "{line}"
+        );
+    }
+    mixed.shutdown().unwrap();
+    clean.shutdown().unwrap();
+}
+
 /// Graceful shutdown drains every staged frame, takes a final
 /// checkpoint, and a new server boots from it with identical state.
 #[test]
