@@ -597,6 +597,71 @@ impl AnyWeightedDDSketch {
     }
 }
 
+impl AnyWeightedDDSketch {
+    /// Quantiles of the weighted union of `(weighted, integer)` sketch
+    /// pairs — each integer count lifted to weight 1 — answered by one
+    /// k-way rank walk over the borrowed stores, the mixed-plane
+    /// counterpart of [`AnyDDSketch::merged_quantiles_into`]. Nothing is
+    /// merged, encoded, or copied.
+    ///
+    /// The answers carry the same bits as merging `w₀`, `i₀` (through
+    /// [`AnyWeightedDDSketch::merge_view`] of its encoding), `w₁`, `i₁`, …
+    /// into an empty weighted sketch and calling
+    /// [`AnyWeightedDDSketch::quantiles`]: every column and running total
+    /// is summed in that source order, the summary fields fold as the
+    /// merges fold them, an empty integer sketch is skipped, and on the
+    /// bounded families the collapsed bucket replays the merge-time folds
+    /// (property-tested across every preset in the workspace suite).
+    ///
+    /// Errors match that union's too: a variant or mapping mismatch fails
+    /// with `IncompatibleMerge`; an empty union reports on the first `q`
+    /// (`InvalidQuantile` or `Empty`) and an empty `qs` succeeds; otherwise
+    /// the first invalid `q` fails the call. `out` is cleared and then
+    /// filled to `qs.len()`, in `qs` order.
+    pub fn lifted_quantiles_into<'a>(
+        pairs: impl Iterator<Item = (&'a AnyWeightedDDSketch, &'a AnyDDSketch)> + Clone,
+        qs: &[f64],
+        out: &mut Vec<f64>,
+    ) -> Result<(), SketchError> {
+        let Some((first, _)) = pairs.clone().next() else {
+            out.clear();
+            return crate::sketch::lifted::empty_union(qs);
+        };
+        macro_rules! lifted_arm {
+            ($head:ident, $variant:ident) => {{
+                for (weighted, integer) in pairs.clone() {
+                    let compatible = match (weighted, integer) {
+                        (AnyDDSketchOf::$variant(w), AnyDDSketchOf::$variant(i)) => {
+                            $head.mapping().is_mergeable_with(w.mapping())
+                                && $head.mapping().is_mergeable_with(i.mapping())
+                        }
+                        _ => false,
+                    };
+                    if !compatible {
+                        let pair = (weighted.config(), integer.config());
+                        return Err(mismatch(config_of($head), pair));
+                    }
+                }
+                DDSketch::lifted_quantiles_into(
+                    pairs.map(|pair| match pair {
+                        (AnyDDSketchOf::$variant(w), AnyDDSketchOf::$variant(i)) => (w, i),
+                        _ => unreachable!("variants checked above"),
+                    }),
+                    qs,
+                    out,
+                )
+            }};
+        }
+        match first {
+            AnyDDSketchOf::Unbounded(s) => lifted_arm!(s, Unbounded),
+            AnyDDSketchOf::Bounded(s) => lifted_arm!(s, Bounded),
+            AnyDDSketchOf::Fast(s) => lifted_arm!(s, Fast),
+            AnyDDSketchOf::Sparse(s) => lifted_arm!(s, Sparse),
+            AnyDDSketchOf::PaperExact(s) => lifted_arm!(s, PaperExact),
+        }
+    }
+}
+
 impl Extend<f64> for AnyDDSketch {
     /// Bulk insertion; unsupported values are silently skipped.
     fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {

@@ -250,6 +250,14 @@
 //!   weight-many copies of each sketch (property-tested), and the dense
 //!   families keep the vectorized column strategy (weighted f64 column
 //!   sums), so even a 3600-shard decayed read stays in the milliseconds.
+//! * `AnyWeightedDDSketch::lifted_quantiles_into` is the mixed-plane
+//!   walk: quantiles of the weighted union of `(weighted, integer)`
+//!   sketch pairs, integer counts lifted to weight 1 as they are read.
+//!   Its answers carry the exact bits of merging the pairs in order into
+//!   one weighted sketch: it sums every column and running total in the
+//!   merge's source order, and on the bounded families it replays the
+//!   merge-time folds of the collapsed bucket. `sketchd` answers
+//!   `WQUANTILE` with it.
 //!
 //! The pipeline crate rides this plane end to end: `ConcurrentSketch::
 //! snapshot` copies each shard under its own lock and runs one

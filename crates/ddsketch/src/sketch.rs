@@ -4,6 +4,8 @@ use crate::mapping::{IndexMapping, MappingKind};
 use crate::store::{BinIter, Count, Store};
 use sketch_core::{target_rank, MemoryFootprint, MergeableSketch, QuantileSketch, SketchError};
 
+pub(crate) mod lifted;
+
 /// A quantile sketch with relative-error guarantees over all of ℝ.
 ///
 /// Values are routed to one of three sub-structures (paper Section 2.2):

@@ -99,6 +99,14 @@
 //!   `query_cache_hits` / `query_cache_misses`, `snapshot_rebuilds`,
 //!   and `snapshot_staleness_max` (worst epoch gap ever closed by a
 //!   query-path rebuild).
+//! * **Rank walks, not unions.** A cache miss never builds a merged
+//!   sketch. `QUANTILE` walks the shards' integer residents with
+//!   `AnyDDSketch::merged_quantiles`; `WQUANTILE` walks every shard's
+//!   `(weighted, integer)` resident pair with
+//!   `AnyWeightedDDSketch::lifted_quantiles_into`, which lifts integer
+//!   counts to weight 1 as it reads them and answers with the same bits
+//!   as the materialized weighted union. Both read planes walk their own
+//!   copies (snapshots or under-lock folds) in the same shard order.
 //!
 //! [`ReadPlane::LockedFold`] keeps the original fold-under-the-shard-
 //! lock path as a benchmarking baseline (`cargo bench --bench server --
@@ -132,7 +140,7 @@
 //! | `COUNT <tenant>`               | `+OK n`                             |
 //! | `WCOUNT <tenant>`              | `+OK w` (f64, both count planes)    |
 //! | `QUANTILE <tenant> <q> …`      | `+OK v …` (shortest-round-trip f64) |
-//! | `WQUANTILE <tenant> <q> …`     | `+OK v …` over both count planes    |
+//! | `WQUANTILE <tenant> <q> …`     | `+OK v …`, both planes, one walk    |
 //! | `SERIES <tenant> <metric> <q>` | `+OK window=v …`                    |
 //! | `DUMP <tenant> <shard>`        | `+DUMP <len>` + `len` binary bytes  |
 //! | `SYNC`                         | `+OK` once staged frames absorbed   |

@@ -32,7 +32,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ddsketch::codec::{SketchView, DEFAULT_MAX_FRAME_LEN};
+use ddsketch::codec::DEFAULT_MAX_FRAME_LEN;
 use ddsketch::{AnyDDSketch, AnyWeightedDDSketch, CountPlane, SketchConfig, SketchError};
 use pipeline::{AggregatorOf, TimeSeriesStore};
 
@@ -552,15 +552,24 @@ fn execute_into(
         },
         Command::WQuantile(name, qs) => match inner.registry.get(&name) {
             Some(tenant) => {
-                let sketch = inner.config.sketch;
-                let union = match inner.config.read_plane {
+                // The tenant-wide weighted union — each shard's weighted
+                // resident, then its integer resident lifted to weight 1 —
+                // answered by one k-way walk over the borrowed residents
+                // outside all locks, with the same bits the materialized
+                // union would give. Both read planes walk their own
+                // copies, in the same shard order.
+                let snaps;
+                let residents: Vec<(AnyWeightedDDSketch, AnyDDSketch)>;
+                let pairs: Vec<(&AnyWeightedDDSketch, &AnyDDSketch)> = match inner.config.read_plane
+                {
                     ReadPlane::EpochCached => {
-                        let (snaps, cache_fill) = tenant_snapshots(inner, &tenant);
+                        let (s, cache_fill) = tenant_snapshots(inner, &tenant);
+                        snaps = s;
                         *fill = Some(cache_fill);
-                        weighted_union(snaps.iter().map(|s| (&s.weighted, &s.resident)), sketch)
+                        snaps.iter().map(|s| (&s.weighted, &s.resident)).collect()
                     }
                     ReadPlane::LockedFold => {
-                        let residents: Vec<_> = tenant
+                        residents = tenant
                             .shards
                             .iter()
                             .map(|shard| {
@@ -570,18 +579,19 @@ fn execute_into(
                                 (state.wagg.resident().clone(), state.agg.resident().clone())
                             })
                             .collect();
-                        weighted_union(residents.iter().map(|(w, i)| (w, i)), sketch)
+                        residents.iter().map(|(w, i)| (w, i)).collect()
                     }
                 };
-                match union {
-                    Ok(union) => match union.quantiles(&qs) {
-                        Ok(values) => {
-                            let rendered: Vec<String> =
-                                values.iter().map(|&v| fmt_f64(v)).collect();
-                            respond(out, &format!("+OK {}", rendered.join(" ")));
-                        }
-                        Err(e) => respond(out, &format!("-ERR {e}")),
-                    },
+                let mut values = Vec::with_capacity(qs.len());
+                match AnyWeightedDDSketch::lifted_quantiles_into(
+                    pairs.iter().copied(),
+                    &qs,
+                    &mut values,
+                ) {
+                    Ok(()) => {
+                        let rendered: Vec<String> = values.iter().map(|&v| fmt_f64(v)).collect();
+                        respond(out, &format!("+OK {}", rendered.join(" ")));
+                    }
                     Err(e) => respond(out, &format!("-ERR {e}")),
                 }
             }
@@ -668,26 +678,6 @@ fn execute_into(
         }
     }
     true
-}
-
-/// Tenant-wide weighted union over one `(weighted, integer)` resident
-/// pair per shard: each shard's weighted resident, then its integer
-/// resident lifted onto the weighted plane (each integer count enters at
-/// weight 1). Both read planes call this with their own copies — locked
-/// folds or read snapshots — so the per-shard merge order, and every
-/// quantile read from the union, is bit-identical between them. There is
-/// no mixed-plane k-way rank walk, so the union is materialized — exact by
-/// full mergeability, allocation is per-query.
-fn weighted_union<'a>(
-    residents: impl Iterator<Item = (&'a AnyWeightedDDSketch, &'a AnyDDSketch)>,
-    config: SketchConfig,
-) -> Result<AnyWeightedDDSketch, SketchError> {
-    let mut union = AnyWeightedDDSketch::new(config)?;
-    for (weighted, integer) in residents {
-        union.merge_from(weighted)?;
-        union.merge_view(&SketchView::parse(&integer.encode())?)?;
-    }
-    Ok(union)
 }
 
 /// Every shard's read snapshot plus the [`CacheFill`] recording the

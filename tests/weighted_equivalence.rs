@@ -10,9 +10,12 @@
 //! Every stream is dyadic (values `m/64`, weights `k/4`), so each f64
 //! partial sum is exact and bit-equality is independent of association
 //! order — the assertions below hold mathematically, not just "usually".
+//! The lifted-walk properties at the end are the exception: they use
+//! non-dyadic weights on purpose, so they only pass if the walk sums in
+//! the very order a materialized union does.
 
 use ddsketch::{
-    AnyDDSketch, AnyWeightedDDSketch, LogarithmicMapping, SketchConfig, SketchError,
+    AnyDDSketch, AnyWeightedDDSketch, LogarithmicMapping, SketchConfig, SketchError, SketchView,
     WeightedAtomicDDSketch,
 };
 use proptest::prelude::*;
@@ -210,4 +213,170 @@ fn invalid_weights_are_rejected_without_corrupting_state() {
         2.25,
         "atomic state corrupted by rejects"
     );
+}
+
+/// The materialized union the lifted walk must reproduce bit for bit:
+/// merge each weighted sketch, then its integer twin through the encoded
+/// bytes (`merge_view` of `SketchView::parse`), into one empty weighted
+/// sketch, and read its quantiles.
+fn materialized_union_quantiles(
+    config: SketchConfig,
+    pairs: &[(AnyWeightedDDSketch, AnyDDSketch)],
+    qs: &[f64],
+) -> Result<Vec<f64>, SketchError> {
+    let mut union = AnyWeightedDDSketch::new(config)?;
+    for (weighted, integer) in pairs {
+        union.merge_from(weighted)?;
+        union.merge_view(&SketchView::parse(&integer.encode())?)?;
+    }
+    union.quantiles(qs)
+}
+
+/// Build one `(weighted, integer)` resident pair. The weighted sketch is
+/// folded from `DDS3` frames of a few entries each, as a shard's weighted
+/// aggregator folds them, so its running totals are real merge sums.
+fn resident_pair(
+    config: SketchConfig,
+    weighted: &[(i64, u32)],
+    integer: &[i64],
+) -> (AnyWeightedDDSketch, AnyDDSketch) {
+    // Values span about nine orders of magnitude, both signs and zero, so
+    // small `max_bins` collapse both tails.
+    let value = |m: i64| m.signum() as f64 * 1.37f64.powi(m.unsigned_abs() as i32 % 64) * 0.01;
+    let mut w = AnyWeightedDDSketch::new(config).unwrap();
+    for chunk in weighted.chunks(5) {
+        let mut frame = AnyWeightedDDSketch::new(config).unwrap();
+        for &(m, k) in chunk {
+            // Non-dyadic, non-integral weights.
+            frame
+                .add_with_count(value(m), f64::from(k) / 3.0 + 0.1)
+                .unwrap();
+        }
+        w.merge_view(&SketchView::parse(&frame.encode()).unwrap())
+            .unwrap();
+    }
+    let mut i = AnyDDSketch::new(config).unwrap();
+    for &m in integer {
+        i.add(value(m)).unwrap();
+    }
+    (w, i)
+}
+
+/// Quantiles whose ranks land within an ulp of the union's cumulative
+/// bucket boundaries, where one rounding step in a column or total sum
+/// flips the answer: these make the bit-identity check sharp.
+fn boundary_quantiles(
+    config: SketchConfig,
+    pairs: &[(AnyWeightedDDSketch, AnyDDSketch)],
+) -> Vec<f64> {
+    let mut union = AnyWeightedDDSketch::new(config).unwrap();
+    for (weighted, integer) in pairs {
+        union.merge_from(weighted).unwrap();
+        union
+            .merge_view(&SketchView::parse(&integer.encode()).unwrap())
+            .unwrap();
+    }
+    let span = (union.weighted_count() - 1.0).max(0.0);
+    if span == 0.0 {
+        return Vec::new();
+    }
+    let counts = union
+        .negative_bins()
+        .into_iter()
+        .rev()
+        .map(|(_, c)| c)
+        .chain(std::iter::once(union.zero_weight()))
+        .chain(union.positive_bins().into_iter().map(|(_, c)| c));
+    let mut cum = 0.0;
+    let mut qs = Vec::new();
+    for c in counts {
+        cum += c;
+        let q = cum / span;
+        for q in [
+            q,
+            f64::from_bits(q.to_bits() - 1),
+            f64::from_bits(q.to_bits() + 1),
+        ] {
+            if (0.0..=1.0).contains(&q) {
+                qs.push(q);
+            }
+        }
+    }
+    qs
+}
+
+/// Assert the lifted walk equals the materialized union, bits and errors.
+fn check_lifted(config: SketchConfig, pairs: &[(AnyWeightedDDSketch, AnyDDSketch)], qs: &[f64]) {
+    let want = materialized_union_quantiles(config, pairs, qs);
+    let mut got = vec![f64::NAN; 3];
+    let result =
+        AnyWeightedDDSketch::lifted_quantiles_into(pairs.iter().map(|(w, i)| (w, i)), qs, &mut got);
+    let label = format!("{config:?}, {} pairs, qs {qs:?}", pairs.len());
+    match want {
+        Ok(want) => {
+            assert!(result.is_ok(), "{label}: {result:?}");
+            let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{label}: quantile bits");
+        }
+        Err(e) => assert_eq!(
+            format!("{:?}", result.unwrap_err()),
+            format!("{e:?}"),
+            "{label}: error"
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The lifted k-way walk behind WQUANTILE answers with the exact bits
+    // of the materialized union, on every preset, from 1 to 8 pairs, with
+    // tails collapsed by small bucket limits, negative values and zeros,
+    // empty weighted or integer residents, and fractional weights.
+    #[test]
+    fn lifted_walk_equals_the_materialized_union(
+        residents in proptest::collection::vec(
+            (
+                proptest::collection::vec((-200i64..200, 0u32..40), 0..24),
+                proptest::collection::vec(-200i64..200, 0..24),
+            ),
+            1..9,
+        ),
+        limit in 0usize..8,
+    ) {
+        let max_bins = [1usize, 2, 3, 5, 8, 16, 64, 2048][limit];
+        for config in SketchConfig::all(0.02, max_bins) {
+            let pairs: Vec<_> = residents
+                .iter()
+                .map(|(w, i)| resident_pair(config, w, i))
+                .collect();
+            let mut qs = vec![0.5, 0.0, 0.99, 0.25, 1.0, 0.01, 0.75, 0.9, 0.5, 0.1];
+            qs.extend(boundary_quantiles(config, &pairs));
+            check_lifted(config, &pairs, &qs);
+        }
+    }
+}
+
+#[test]
+fn lifted_walk_errors_match_the_materialized_union() {
+    let config = SketchConfig::dense_collapsing(0.02, 16);
+    let empty = vec![resident_pair(config, &[], &[])];
+    let full = vec![resident_pair(config, &[(3, 4), (-7, 2)], &[0, 5, 9])];
+    for pairs in [&empty, &full] {
+        for qs in [&[][..], &[0.5], &[1.5, 0.5], &[0.5, -0.1], &[f64::NAN]] {
+            check_lifted(config, pairs, qs);
+        }
+    }
+    // No pairs at all: the union of nothing.
+    for qs in [&[][..], &[0.5], &[2.0, 0.5]] {
+        check_lifted(config, &[], qs);
+    }
+    // Sketches of another configuration do not mix.
+    let other = resident_pair(SketchConfig::sparse(0.02), &[(1, 1)], &[1]);
+    let mixed = [(&full[0].0, &other.1)];
+    assert!(matches!(
+        AnyWeightedDDSketch::lifted_quantiles_into(mixed.into_iter(), &[0.5], &mut Vec::new()),
+        Err(SketchError::IncompatibleMerge(_))
+    ));
 }
