@@ -741,6 +741,39 @@ mod tests {
         );
     }
 
+    /// Materialize the union of `pairs` (weighted resident, then integer
+    /// resident, pair by pair) and check the walk's state against it.
+    fn check_pairs(
+        config: SketchConfig,
+        pairs: &[(AnyWeightedDDSketch, AnyDDSketch)],
+        label: &str,
+    ) {
+        let mut union = AnyWeightedDDSketch::new(config).unwrap();
+        for (w, i) in pairs {
+            union.merge_from(w).unwrap();
+            union
+                .merge_view(&SketchView::parse(&i.encode()).unwrap())
+                .unwrap();
+        }
+        macro_rules! check_arm {
+            ($($variant:ident),*) => {
+                match &union {
+                    $(AnyDDSketchOf::$variant(union) => {
+                        let typed: Vec<_> = pairs
+                            .iter()
+                            .map(|pair| match pair {
+                                (AnyDDSketchOf::$variant(w), AnyDDSketchOf::$variant(i)) => (w, i),
+                                _ => unreachable!("one config"),
+                            })
+                            .collect();
+                        check_state(typed.iter().copied(), union, label);
+                    })*
+                }
+            };
+        }
+        check_arm!(Unbounded, Bounded, Fast, Sparse, PaperExact);
+    }
+
     #[test]
     fn lifted_state_equals_the_materialized_union() {
         let mut seed = 0x5eed_u64;
@@ -776,34 +809,20 @@ mod tests {
                     }
                     pairs.push((w, i));
                 }
-                let mut union = AnyWeightedDDSketch::new(config).unwrap();
-                for (w, i) in &pairs {
-                    union.merge_from(w).unwrap();
-                    union
-                        .merge_view(&SketchView::parse(&i.encode()).unwrap())
-                        .unwrap();
-                }
-                let label = format!("case {case}, {config:?}");
-                macro_rules! check_arm {
-                    ($($variant:ident),*) => {
-                        match &union {
-                            $(AnyDDSketchOf::$variant(union) => {
-                                let typed: Vec<_> = pairs
-                                    .iter()
-                                    .map(|pair| match pair {
-                                        (AnyDDSketchOf::$variant(w), AnyDDSketchOf::$variant(i)) => {
-                                            (w, i)
-                                        }
-                                        _ => unreachable!("one config"),
-                                    })
-                                    .collect();
-                                check_state(typed.iter().copied(), union, &label);
-                            })*
-                        }
-                    };
-                }
-                check_arm!(Unbounded, Bounded, Fast, Sparse, PaperExact);
+                check_pairs(config, &pairs, &format!("case {case}, {config:?}"));
             }
+        }
+        // Dense stores add an integer resident's bins to the running total
+        // as one sum, sparse stores one bin at a time, and here the two
+        // round apart: 2^53 + (1 + 1) is 2^53 + 2, but (2^53 + 1) + 1
+        // rounds back to 2^53 at each step.
+        for config in SketchConfig::all(0.02, 64) {
+            let mut w = AnyWeightedDDSketch::new(config).unwrap();
+            w.add_with_count(1.0, 2f64.powi(53)).unwrap();
+            let mut i = AnyDDSketch::new(config).unwrap();
+            i.add(2.0).unwrap();
+            i.add(5.0).unwrap();
+            check_pairs(config, &[(w, i)], &format!("2^53 total, {config:?}"));
         }
     }
 }

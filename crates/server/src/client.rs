@@ -158,6 +158,7 @@ impl QueryClient {
                 "snapshot_rebuilds" => snapshot.snapshot_rebuilds = value,
                 "snapshot_staleness_max" => snapshot.snapshot_staleness_max = value,
                 "evicted_cells" => snapshot.evicted_cells = value,
+                "tenants_refused" => snapshot.tenants_refused = value,
                 _ => {}
             }
         }

@@ -69,8 +69,7 @@
 //!
 //! ## Read plane
 //!
-//! Queries never pay for ingest. Under the default
-//! [`ReadPlane::EpochCached`] every served answer comes from
+//! Queries never pay for ingest. Every tenant-wide answer comes from
 //! epoch-versioned state that is read entirely outside the shard locks:
 //!
 //! * **Epochs.** Each shard's aggregators and windowed store carry a
@@ -84,8 +83,8 @@
 //!   its epoch is current; only a genuinely stale *and* idle shard
 //!   rebuilds — taking the state lock just long enough for a fold and
 //!   bin copy (the short-hold pattern), then walking ranks outside all
-//!   locks. Shard workers refresh snapshots in the background every
-//!   [`ServerConfig::snapshot_refresh`] absorbs and on queue drain.
+//!   locks. Shard workers refresh snapshots in the background every 64
+//!   absorbs and on queue drain.
 //! * **Bounded staleness, exact answers.** While a shard has staged or
 //!   in-flight frames, queries serve the latest published snapshot
 //!   rather than racing the workers — bounded by the refresh cadence,
@@ -105,12 +104,21 @@
 //!   `(weighted, integer)` resident pair with
 //!   `AnyWeightedDDSketch::lifted_quantiles_into`, which lifts integer
 //!   counts to weight 1 as it reads them and answers with the same bits
-//!   as the materialized weighted union. Both read planes walk their own
-//!   copies (snapshots or under-lock folds) in the same shard order.
+//!   as the materialized weighted union.
 //!
-//! [`ReadPlane::LockedFold`] keeps the original fold-under-the-shard-
-//! lock path as a benchmarking baseline (`cargo bench --bench server --
-//! --query` measures both planes under sustained ingest).
+//! The snapshots are the only read path: full mergeability makes a copy
+//! of a shard's folded state answer exactly as the live state does. A
+//! unit test holds every shard's state lock while cache-missing `COUNT`,
+//! `WCOUNT`, `QUANTILE` and `WQUANTILE` lines answer, with no snapshot
+//! rebuilt.
+//!
+//! ## Retention
+//!
+//! [`ServerConfig::retention`] evicts windowed-store cells only, so it
+//! bounds the per-window answers: `SERIES`, `METRICS` and `DUMP`. The
+//! tenant-wide `COUNT`, `WCOUNT`, `QUANTILE` and `WQUANTILE` answer over
+//! everything ever ingested, retention or not, and keep doing so across a
+//! restart.
 //!
 //! ## Wire protocol (ingest)
 //!
@@ -200,5 +208,5 @@ pub use client::QueryClient;
 pub use error::ServerError;
 pub use net::{Bind, Endpoint};
 pub use protocol::{valid_name, MAX_LINE, MAX_NAME};
-pub use server::{ReadPlane, ServerConfig, ServerHandle};
+pub use server::{ServerConfig, ServerHandle};
 pub use state::{StatsSnapshot, TenantStats};

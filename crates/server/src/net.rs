@@ -2,7 +2,7 @@
 //! Unix-domain sockets, so every other module is transport-agnostic.
 //!
 //! `std::net` + `std::os::unix::net` only — the server works fully
-//! offline on loopback, which is exactly how the soak harness and CI
+//! offline on loopback, which is exactly how the benches and CI
 //! drive it.
 
 use std::io::{self, Read, Write};

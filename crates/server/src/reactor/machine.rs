@@ -34,6 +34,7 @@ use std::sync::Arc;
 use ddsketch::codec::FrameDecoder;
 use ddsketch::SketchError;
 
+use crate::error::ServerError;
 use crate::protocol::{decode_envelope, valid_name, LineReader, MAX_LINE};
 use crate::server::{execute_line, is_retryable, tenant, ServerInner};
 use crate::state::{Job, Shard, ShardWaker, Stats, Tenant, TryPush};
@@ -311,8 +312,17 @@ impl<S: Read + Write> ConnMachine<S> {
         if !valid_name(name) {
             return Control::Step(self.close(inner, true));
         }
-        let Ok(tenant) = tenant(inner, name) else {
-            return Control::Step(self.close(inner, true));
+        let tenant = match tenant(inner, name) {
+            Ok(tenant) => tenant,
+            // A refused name (the tenant cap): say why, then close once
+            // the line is flushed.
+            Err(ServerError::Protocol(message)) => {
+                self.out
+                    .extend_from_slice(format!("-ERR {message}\n").as_bytes());
+                self.close_after_flush = true;
+                return Control::Continue;
+            }
+            Err(_) => return Control::Step(self.close(inner, true)),
         };
         self.phase = Phase::Ingest(Box::new(IngestPhase {
             tenant,

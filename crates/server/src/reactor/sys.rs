@@ -225,7 +225,7 @@ mod epoll_backend {
     const MAX_EVENTS: usize = 256;
 
     /// Linux epoll backend: O(ready) waits regardless of how many
-    /// connections are registered — the backend the 512-agent soak
+    /// connections are registered — the backend the 512-agent scaling bench
     /// runs on.
     pub(crate) struct Epoll {
         epfd: i32,

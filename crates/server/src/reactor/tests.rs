@@ -148,6 +148,7 @@ fn pre_tenant(inner: &Arc<ServerInner>, name: &str) -> Arc<Tenant> {
             )
         })
         .unwrap()
+        .expect("under the tenant cap")
         .0
 }
 

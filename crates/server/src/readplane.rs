@@ -4,24 +4,27 @@
 //!
 //! ## Why
 //!
-//! Every query used to fold per-shard state under the same
-//! `Mutex<ShardState>` the shard workers absorb into, so query latency
-//! inherited the ingest plane's lock contention (the PR 7 soak measured
-//! a p99 of 10 ms against a p50 of 111 µs). DDSketch's full
-//! mergeability means a *copy* of the folded state answers exactly the
-//! same — so reads are decoupled from ingest with two layers:
+//! A query that folded per-shard state under the same
+//! `Mutex<ShardState>` the shard workers absorb into would inherit the
+//! ingest plane's lock contention. DDSketch's full mergeability means a
+//! *copy* of the folded state answers exactly the same, so reads are
+//! decoupled from ingest with two layers, and these are the only read
+//! path:
 //!
 //! * **Read snapshots** ([`ShardSnapshot`]) — an immutable, epoch-
 //!   labelled copy of a shard's folded residents, swapped in whole
-//!   behind an `Arc`. Shard workers republish every
-//!   [`crate::ServerConfig::snapshot_refresh`] absorbed frames and
-//!   whenever their staging queue drains; queries on a quiesced shard
-//!   rebuild on demand (the PR 3 short-hold pattern: the state lock is
-//!   held only for the fold + bin copy, the rank walk runs outside).
+//!   behind an `Arc`. Shard workers republish every 64 absorbed frames
+//!   and whenever their staging queue drains; queries on a quiesced
+//!   shard rebuild on demand (a short hold: the state lock is held only
+//!   for the fold + bin copy, the rank walk runs outside).
 //! * **Answer cache** ([`QueryCache`]) — rendered responses keyed by
 //!   the raw query line, validated against the epoch vector they were
 //!   computed from. A hit is a handful of relaxed atomic loads and one
 //!   `memcpy` — no state lock, no parse, zero allocations.
+//!
+//! The server's unit tests hold every shard's state lock while
+//! cache-missing tenant-wide queries answer, and check that no snapshot
+//! was rebuilt: that is the property this module exists for.
 //!
 //! ## Staleness contract
 //!

@@ -33,7 +33,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ddsketch::codec::DEFAULT_MAX_FRAME_LEN;
-use ddsketch::{AnyDDSketch, AnyWeightedDDSketch, CountPlane, SketchConfig, SketchError};
+use ddsketch::{AnyDDSketch, AnyWeightedDDSketch, CountPlane, SketchConfig};
 use pipeline::{AggregatorOf, TimeSeriesStore};
 
 use crate::error::ServerError;
@@ -42,21 +42,6 @@ use crate::protocol::{fmt_f64, parse_command, valid_name, Command};
 use crate::readplane::{cacheable, CacheFill, CacheScope, QueryCache, ShardSnapshot};
 use crate::state::{lock, Registry, ShardState, Stats, StatsSnapshot, Tenant, TenantStats};
 use crate::worker::worker_loop;
-
-/// How queries read tenant state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPlane {
-    /// Serve from per-shard epoch-labelled read snapshots and the
-    /// answer cache: steady-state queries never take a shard state
-    /// lock, and answers are bit-identical to a fresh fold at the
-    /// epoch they carry (see the crate-level "Read plane" section).
-    #[default]
-    EpochCached,
-    /// Fold per-shard state under the shard locks on every query — the
-    /// pre-snapshot behaviour, kept as the measured baseline for the
-    /// query-latency bench.
-    LockedFold,
-}
 
 /// Knobs for a [`ServerHandle::spawn`]ed server.
 #[derive(Debug, Clone)]
@@ -87,19 +72,14 @@ pub struct ServerConfig {
     /// get a best-effort `-ERR server at connection capacity` line and
     /// are dropped.
     pub max_connections: usize,
-    /// How queries read tenant state (see [`ReadPlane`]).
-    pub read_plane: ReadPlane,
     /// TTL retention: windowed-store cells whose window ended more than
     /// this far before the newest ingested window are evicted by a
-    /// periodic sweep (`STATS` counts them as `evicted_cells`). `None`
-    /// retains everything — the pre-retention behaviour.
+    /// periodic sweep (`STATS` counts them as `evicted_cells`). Only the
+    /// per-window answers (`SERIES`, `METRICS`, `DUMP`) lose the evicted
+    /// windows; `COUNT`, `WCOUNT`, `QUANTILE` and `WQUANTILE` keep
+    /// answering over everything ever ingested. `None` retains
+    /// everything.
     pub retention: Option<Duration>,
-    /// Under [`ReadPlane::EpochCached`], how many frames a shard worker
-    /// takes off its queue between snapshot republishes while the queue
-    /// stays busy (it always republishes when the queue drains). This
-    /// bounds how far a served answer can trail ingest during a
-    /// sustained burst.
-    pub snapshot_refresh: usize,
 }
 
 impl Default for ServerConfig {
@@ -114,9 +94,7 @@ impl Default for ServerConfig {
             checkpoint_dir: None,
             checkpoint_interval: None,
             max_connections: 1024,
-            read_plane: ReadPlane::default(),
             retention: None,
-            snapshot_refresh: 64,
         }
     }
 }
@@ -279,10 +257,9 @@ impl ServerHandle {
     }
 
     /// Run one query command in process, exactly as a socket client
-    /// would: the response line(s) are appended to `out`, and the
-    /// answer cache / read snapshots serve it under the configured
-    /// [`ReadPlane`]. Returns `false` for commands that would close the
-    /// connection (`SHUTDOWN`, `QUIT`).
+    /// would: the response line(s) are appended to `out`, served from
+    /// the answer cache and the read snapshots. Returns `false` for
+    /// commands that would close the connection (`SHUTDOWN`, `QUIT`).
     pub fn execute(&self, line: &str, out: &mut Vec<u8>) -> bool {
         execute_line(&self.inner, line, out)
     }
@@ -295,10 +272,11 @@ impl Drop for ServerHandle {
 }
 
 /// Look a tenant up, creating it (and spawning its shard workers) on
-/// first sight.
-pub(crate) fn tenant(inner: &Arc<ServerInner>, name: &str) -> Result<Arc<Tenant>, SketchError> {
+/// first sight. A new name past the tenant cap is refused with
+/// [`ServerError::Protocol`] and counted in `tenants_refused`.
+pub(crate) fn tenant(inner: &Arc<ServerInner>, name: &str) -> Result<Arc<Tenant>, ServerError> {
     let cfg = &inner.config;
-    let (tenant, created) = inner.registry.get_or_create(name, || {
+    let made = inner.registry.get_or_create(name, || {
         Tenant::new(
             name,
             cfg.sketch,
@@ -308,6 +286,10 @@ pub(crate) fn tenant(inner: &Arc<ServerInner>, name: &str) -> Result<Arc<Tenant>
             cfg.window_secs,
         )
     })?;
+    let Some((tenant, created)) = made else {
+        Stats::add(&inner.stats.tenants_refused, 1);
+        return Err(ServerError::Protocol("tenant limit reached".into()));
+    };
     if created {
         let mut workers = lock(&inner.shard_workers);
         for shard in &tenant.shards {
@@ -333,7 +315,7 @@ fn respond(out: &mut Vec<u8>, line: &str) {
 
 /// Serve one query line, appending the response bytes to `out` (which
 /// may already hold earlier responses — the reactor batches). Shared by
-/// the reactor's query machines and [`ServerHandle::execute`]. Under [`ReadPlane::EpochCached`] the
+/// the reactor's query machines and [`ServerHandle::execute`]. The
 /// answer cache is probed *before* parsing — a hit is served straight
 /// from the entry's rendered bytes, with zero locks held and zero
 /// allocations — and successful answers to cacheable commands are
@@ -341,7 +323,7 @@ fn respond(out: &mut Vec<u8>, line: &str) {
 /// `false` when the connection should close after the flush.
 pub(crate) fn execute_line(inner: &Arc<ServerInner>, line: &str, out: &mut Vec<u8>) -> bool {
     Stats::add(&inner.stats.queries_served, 1);
-    let cached = inner.config.read_plane == ReadPlane::EpochCached && cacheable(line);
+    let cached = cacheable(line);
     if cached && inner.query_cache.serve(line, out, &inner.stats) {
         return true;
     }
@@ -404,7 +386,7 @@ fn execute_into(
                      ingest_suspensions={} reactor_wakeups={} reactor_events={} \
                      checkpoints_completed={} query_cache_hits={} query_cache_misses={} \
                      snapshot_rebuilds={} snapshot_staleness_max={} evicted_cells={} \
-                     staging_depth={} tenants={}",
+                     tenants_refused={} staging_depth={} tenants={}",
                     s.frames_ingested,
                     s.frames_rejected,
                     s.bytes_ingested,
@@ -423,6 +405,7 @@ fn execute_into(
                     s.snapshot_rebuilds,
                     s.snapshot_staleness_max,
                     s.evicted_cells,
+                    s.tenants_refused,
                     depths.join(","),
                     tenants.join(",")
                 ),
@@ -462,84 +445,38 @@ fn execute_into(
             None => respond(out, "-ERR unknown tenant"),
         },
         Command::Count(name) => match inner.registry.get(&name) {
-            Some(tenant) => match inner.config.read_plane {
-                ReadPlane::EpochCached => {
-                    let (snaps, cache_fill) = tenant_snapshots(inner, &tenant);
-                    let total: u64 = snaps.iter().map(|s| s.count).sum();
-                    *fill = Some(cache_fill);
-                    respond(out, &format!("+OK {total}"));
-                }
-                ReadPlane::LockedFold => {
-                    let total: u64 = tenant
-                        .shards
-                        .iter()
-                        .map(|shard| lock(&shard.state).agg.count())
-                        .sum();
-                    respond(out, &format!("+OK {total}"));
-                }
-            },
+            Some(tenant) => {
+                let (snaps, cache_fill) = tenant_snapshots(inner, &tenant);
+                let total: u64 = snaps.iter().map(|s| s.count).sum();
+                *fill = Some(cache_fill);
+                respond(out, &format!("+OK {total}"));
+            }
             None => respond(out, "-ERR unknown tenant"),
         },
         Command::WCount(name) => match inner.registry.get(&name) {
             Some(tenant) => {
                 // Total resident weight across both planes: integer
                 // counts enter at weight 1, `DDS3` frames at their
-                // `f64` weights. The summation order is identical under
-                // both read planes, so the `f64` totals are
-                // bit-identical.
-                let total: f64 = match inner.config.read_plane {
-                    ReadPlane::EpochCached => {
-                        let (snaps, cache_fill) = tenant_snapshots(inner, &tenant);
-                        *fill = Some(cache_fill);
-                        snaps
-                            .iter()
-                            .map(|s| s.count as f64 + s.weighted_count)
-                            .sum()
-                    }
-                    ReadPlane::LockedFold => tenant
-                        .shards
-                        .iter()
-                        .map(|shard| {
-                            let state = lock(&shard.state);
-                            state.agg.count() as f64 + state.wagg.weighted_count()
-                        })
-                        .sum(),
-                };
+                // `f64` weights, summed in shard order.
+                let (snaps, cache_fill) = tenant_snapshots(inner, &tenant);
+                *fill = Some(cache_fill);
+                let total: f64 = snaps
+                    .iter()
+                    .map(|s| s.count as f64 + s.weighted_count)
+                    .sum();
                 respond(out, &format!("+OK {}", fmt_f64(total)));
             }
             None => respond(out, "-ERR unknown tenant"),
         },
         Command::Quantile(name, qs) => match inner.registry.get(&name) {
             Some(tenant) => {
-                // One resident copy per shard, answered with a k-way
-                // merged walk outside all locks — exact by full
+                // Each shard's read-snapshot resident, answered with a
+                // k-way merged walk outside all locks — exact by full
                 // mergeability, so the result is bit-identical to a
-                // single union sketch. The copies come from the read
-                // snapshots (zero lock holds at steady state) or, under
-                // the locked baseline, from a fold under each shard's
-                // lock.
-                let snaps;
-                let residents: Vec<AnyDDSketch>;
-                let refs: Vec<&AnyDDSketch> = match inner.config.read_plane {
-                    ReadPlane::EpochCached => {
-                        let (s, cache_fill) = tenant_snapshots(inner, &tenant);
-                        snaps = s;
-                        *fill = Some(cache_fill);
-                        snaps.iter().map(|s| &s.resident).collect()
-                    }
-                    ReadPlane::LockedFold => {
-                        residents = tenant
-                            .shards
-                            .iter()
-                            .map(|shard| {
-                                let mut state = lock(&shard.state);
-                                state.agg.fold();
-                                state.agg.resident().clone()
-                            })
-                            .collect();
-                        residents.iter().collect()
-                    }
-                };
+                // single union sketch.
+                let (snaps, cache_fill) = tenant_snapshots(inner, &tenant);
+                *fill = Some(cache_fill);
+                let refs: Vec<&AnyDDSketch> = snaps.iter().map(|s| &s.resident).collect();
                 match AnyDDSketch::merged_quantiles(&refs, &qs) {
                     Ok(values) => {
                         let rendered: Vec<String> = values.iter().map(|&v| fmt_f64(v)).collect();
@@ -556,38 +493,13 @@ fn execute_into(
                 // resident, then its integer resident lifted to weight 1 —
                 // answered by one k-way walk over the borrowed residents
                 // outside all locks, with the same bits the materialized
-                // union would give. Both read planes walk their own
-                // copies, in the same shard order.
-                let snaps;
-                let residents: Vec<(AnyWeightedDDSketch, AnyDDSketch)>;
-                let pairs: Vec<(&AnyWeightedDDSketch, &AnyDDSketch)> = match inner.config.read_plane
-                {
-                    ReadPlane::EpochCached => {
-                        let (s, cache_fill) = tenant_snapshots(inner, &tenant);
-                        snaps = s;
-                        *fill = Some(cache_fill);
-                        snaps.iter().map(|s| (&s.weighted, &s.resident)).collect()
-                    }
-                    ReadPlane::LockedFold => {
-                        residents = tenant
-                            .shards
-                            .iter()
-                            .map(|shard| {
-                                let mut state = lock(&shard.state);
-                                state.agg.fold();
-                                state.wagg.fold();
-                                (state.wagg.resident().clone(), state.agg.resident().clone())
-                            })
-                            .collect();
-                        residents.iter().map(|(w, i)| (w, i)).collect()
-                    }
-                };
+                // union would give, walked over the read snapshots in
+                // shard order.
+                let (snaps, cache_fill) = tenant_snapshots(inner, &tenant);
+                *fill = Some(cache_fill);
+                let pairs = snaps.iter().map(|s| (&s.weighted, &s.resident));
                 let mut values = Vec::with_capacity(qs.len());
-                match AnyWeightedDDSketch::lifted_quantiles_into(
-                    pairs.iter().copied(),
-                    &qs,
-                    &mut values,
-                ) {
+                match AnyWeightedDDSketch::lifted_quantiles_into(pairs, &qs, &mut values) {
                     Ok(()) => {
                         let rendered: Vec<String> = values.iter().map(|&v| fmt_f64(v)).collect();
                         respond(out, &format!("+OK {}", rendered.join(" ")));
@@ -612,14 +524,12 @@ fn execute_into(
                 let shard = &tenant.shards[index];
                 let state = lock(&shard.state);
                 let series = state.store.quantile_series(&metric, q);
-                if inner.config.read_plane == ReadPlane::EpochCached {
-                    shard.publish_epoch(&state);
-                    *fill = Some(CacheFill {
-                        tenant: Arc::clone(&tenant),
-                        scope: CacheScope::Shard(index),
-                        epochs: vec![shard.data_epoch()],
-                    });
-                }
+                shard.publish_epoch(&state);
+                *fill = Some(CacheFill {
+                    tenant: Arc::clone(&tenant),
+                    scope: CacheScope::Shard(index),
+                    epochs: vec![shard.data_epoch()],
+                });
                 drop(state);
                 let rendered: Vec<String> = series
                     .iter()
@@ -921,4 +831,148 @@ fn restore_checkpoints(inner: &Arc<ServerInner>) -> Result<(), ServerError> {
         tenant.shards[index].publish_epoch(&state);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+
+    use super::*;
+    use crate::state::{Job, TryPush};
+    use crate::worker::{absorb_job, WorkerScratch};
+
+    /// Tenant-wide queries. Verbs are case-insensitive but the answer
+    /// cache keys on the raw line, so a respelling misses the cache.
+    const LINES: [&str; 4] = [
+        "COUNT acme",
+        "WCOUNT acme",
+        "QUANTILE acme 0.01 0.5 0.99",
+        "WQUANTILE acme 0.25 0.5 0.99",
+    ];
+
+    fn integer_frame(config: SketchConfig, seed: u32) -> Vec<u8> {
+        let mut sketch = config.build().unwrap();
+        for k in 1..=12u32 {
+            sketch.add(f64::from(k) * 0.75 + f64::from(seed)).unwrap();
+        }
+        sketch.encode()
+    }
+
+    fn weighted_frame(config: SketchConfig, seed: u32) -> Vec<u8> {
+        let mut sketch = AnyWeightedDDSketch::new(config).unwrap();
+        for k in 1..=6u32 {
+            let (v, w) = (
+                f64::from(k) * 1.25 + f64::from(seed),
+                f64::from(k % 3) * 0.25,
+            );
+            sketch.add_with_count(v, w + 0.25).unwrap();
+        }
+        sketch.encode()
+    }
+
+    /// Stage `frame` on the shard owning `metric`, then, if `absorb`, pop
+    /// and absorb it on this thread as the shard's worker would.
+    fn feed(inner: &ServerInner, tenant: &Tenant, metric: &str, frame: Vec<u8>, absorb: bool) {
+        let shard = tenant.shard_for(metric);
+        let job = Job {
+            metric: metric.into(),
+            ts_secs: 0,
+            payload: frame,
+        };
+        assert!(matches!(shard.try_push(job), TryPush::Stored(_)));
+        if absorb {
+            let job = shard.pop().unwrap();
+            absorb_job(inner, tenant, shard, &mut WorkerScratch::default(), job);
+        }
+    }
+
+    /// Answer `lines` on a helper thread. The test thread may hold locks
+    /// the helper would block on, so a helper that has not answered
+    /// within 10 s fails the test instead of hanging it.
+    fn answer_off_thread(inner: &Arc<ServerInner>, lines: [String; 4]) -> String {
+        let (tx, rx) = mpsc::channel();
+        let inner = Arc::clone(inner);
+        let helper = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            for line in &lines {
+                assert!(execute_line(&inner, line, &mut out));
+            }
+            let _ = tx.send(String::from_utf8(out).unwrap());
+        });
+        let answers = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a cache-missing read waited on a shard state lock");
+        helper.join().unwrap();
+        answers
+    }
+
+    /// With every shard's state lock held by the test thread, cache-missing
+    /// `COUNT`/`WCOUNT`/`QUANTILE`/`WQUANTILE` lines still answer from the
+    /// installed read snapshots, and no snapshot is rebuilt. Checked on a
+    /// quiesced tenant, and again with one shard holding an absorbed frame
+    /// its snapshot does not have yet plus a staged job (`live_depth > 0`):
+    /// there the answers must be the installed snapshots', not the live
+    /// state's.
+    #[test]
+    fn cache_missing_reads_answer_while_every_shard_state_lock_is_held() {
+        let inner = test_inner(ServerConfig::default());
+        let cfg = &inner.config;
+        // Through the registry rather than `tenant()`, so no worker thread
+        // spawns: this thread is the only writer.
+        let make = || {
+            let shards = cfg.shards_per_tenant;
+            let (bound, fold, window) = (cfg.staging_bound, cfg.fold_threshold, cfg.window_secs);
+            Tenant::new("acme", cfg.sketch, shards, bound, fold, window)
+        };
+        let (tenant, _) = inner.registry.get_or_create("acme", make).unwrap().unwrap();
+        for seed in 0..16u32 {
+            let metric = format!("m{}", seed % 8);
+            feed(
+                &inner,
+                &tenant,
+                &metric,
+                integer_frame(cfg.sketch, seed),
+                true,
+            );
+            feed(
+                &inner,
+                &tenant,
+                &metric,
+                weighted_frame(cfg.sketch, seed),
+                true,
+            );
+        }
+        // Every shard holds data and, as a worker leaves it once its queue
+        // drains, a current snapshot.
+        for shard in &tenant.shards {
+            assert!(lock(&shard.state).agg.count() > 0, "a shard got no frame");
+            shard.refresh_snapshot(&inner.stats);
+        }
+        let reference = answer_off_thread(&inner, LINES.map(String::from));
+        assert_eq!(reference.matches("+OK ").count(), 4, "{reference}");
+
+        let locked_reads = |lines: [String; 4]| {
+            let before = inner.stats_snapshot();
+            let guards: Vec<_> = tenant.shards.iter().map(|s| lock(&s.state)).collect();
+            let answers = answer_off_thread(&inner, lines);
+            drop(guards);
+            let after = inner.stats_snapshot();
+            assert_eq!(after.snapshot_rebuilds, before.snapshot_rebuilds);
+            assert_eq!(after.query_cache_misses, before.query_cache_misses + 4);
+            assert_eq!(after.query_cache_hits, before.query_cache_hits);
+            answers
+        };
+        let quiesced = locked_reads(LINES.map(str::to_lowercase));
+        assert_eq!(quiesced, reference);
+
+        // One shard's live state moves past its snapshot, and a job stays
+        // staged on it.
+        let shard = tenant.shard_for("m0");
+        feed(&inner, &tenant, "m0", integer_frame(cfg.sketch, 99), true);
+        feed(&inner, &tenant, "m0", integer_frame(cfg.sketch, 100), false);
+        assert_eq!(shard.live_depth(), 1);
+        assert_ne!(shard.snapshot_epoch(), shard.data_epoch());
+        let pending = locked_reads(LINES.map(|line| line.replacen(' ', "  ", 1)));
+        assert_eq!(pending, reference);
+    }
 }

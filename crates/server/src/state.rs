@@ -74,6 +74,7 @@ pub(crate) struct Stats {
     pub snapshot_rebuilds: AtomicU64,
     pub snapshot_staleness_max: AtomicU64,
     pub evicted_cells: AtomicU64,
+    pub tenants_refused: AtomicU64,
 }
 
 impl Stats {
@@ -108,6 +109,7 @@ impl Stats {
             snapshot_rebuilds: self.snapshot_rebuilds.load(Ordering::Relaxed),
             snapshot_staleness_max: self.snapshot_staleness_max.load(Ordering::Relaxed),
             evicted_cells: self.evicted_cells.load(Ordering::Relaxed),
+            tenants_refused: self.tenants_refused.load(Ordering::Relaxed),
             staging_depth: Vec::new(),
             tenants: Vec::new(),
         }
@@ -163,6 +165,9 @@ pub struct StatsSnapshot {
     pub snapshot_staleness_max: u64,
     /// Windowed-store cells evicted by the TTL retention sweep.
     pub evicted_cells: u64,
+    /// New tenant names refused because the server already holds its
+    /// maximum number of tenants (64).
+    pub tenants_refused: u64,
     /// Live staging depth (queued + in-flight jobs) per shard index,
     /// summed across tenants; length = `shards_per_tenant`.
     pub staging_depth: Vec<u64>,
@@ -594,8 +599,13 @@ impl Tenant {
     }
 }
 
+/// Most tenants one server holds. Each tenant runs `shards_per_tenant`
+/// worker threads, so without a cap any client could grow the thread
+/// count without bound by naming new tenants.
+pub(crate) const MAX_TENANTS: usize = 64;
+
 /// The tenant registry: name → tenant, created on first ingest (or by
-/// checkpoint restore at boot).
+/// checkpoint restore at boot), at most [`MAX_TENANTS`] of them.
 #[derive(Debug, Default)]
 pub(crate) struct Registry {
     tenants: Mutex<HashMap<String, Arc<Tenant>>>,
@@ -607,19 +617,23 @@ impl Registry {
     }
 
     /// Look up `name`, building it with `make` on first sight. Returns
-    /// the tenant and whether this call created it.
+    /// the tenant and whether this call created it, or `None` when
+    /// `name` is new and the registry already holds [`MAX_TENANTS`].
     pub(crate) fn get_or_create(
         &self,
         name: &str,
         make: impl FnOnce() -> Result<Tenant, ddsketch::SketchError>,
-    ) -> Result<(Arc<Tenant>, bool), ddsketch::SketchError> {
+    ) -> Result<Option<(Arc<Tenant>, bool)>, ddsketch::SketchError> {
         let mut tenants = lock(&self.tenants);
         if let Some(tenant) = tenants.get(name) {
-            return Ok((tenant.clone(), false));
+            return Ok(Some((tenant.clone(), false)));
+        }
+        if tenants.len() >= MAX_TENANTS {
+            return Ok(None);
         }
         let tenant = Arc::new(make()?);
         tenants.insert(name.to_string(), tenant.clone());
-        Ok((tenant, true))
+        Ok(Some((tenant, true)))
     }
 
     /// Every tenant, name-sorted (for `TENANTS` and checkpoint sweeps).
@@ -795,9 +809,9 @@ mod tests {
         let config = SketchConfig::dense_collapsing(0.01, 128);
         let make = || Tenant::new("acme", config, 2, 8, 4, 10);
         assert!(registry.get("acme").is_none());
-        let (first, created) = registry.get_or_create("acme", make).unwrap();
+        let (first, created) = registry.get_or_create("acme", make).unwrap().unwrap();
         assert!(created);
-        let (second, created) = registry.get_or_create("acme", make).unwrap();
+        let (second, created) = registry.get_or_create("acme", make).unwrap().unwrap();
         assert!(!created);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(registry.all().len(), 1);

@@ -14,14 +14,20 @@ use ddsketch::{
 };
 use pipeline::AggregatorOf;
 
-use crate::server::{ReadPlane, ServerInner};
+use crate::server::ServerInner;
 use crate::state::{lock, Job, Shard, Stats, Tenant};
+
+/// Jobs a shard worker absorbs between snapshot republishes while its
+/// queue stays busy (it always republishes when the queue drains). This
+/// bounds how far a served answer can trail ingest during a sustained
+/// burst.
+const SNAPSHOT_REFRESH: usize = 64;
 
 /// A shard worker's decode buffers, one per count plane. The buffer a
 /// payload is fed to its aggregator in is swapped for one of the
 /// aggregator's spent payloads, so at steady state no frame allocates.
 #[derive(Debug, Default)]
-struct WorkerScratch {
+pub(crate) struct WorkerScratch {
     integer: SketchPayload,
     weighted: WeightedSketchPayload,
 }
@@ -34,25 +40,21 @@ enum Plane {
 }
 
 /// One shard worker: absorb staged jobs until the shard closes and its
-/// backlog drains. Under [`ReadPlane::EpochCached`] the worker also
-/// owns snapshot publishing: it republishes the shard's read snapshot
-/// every [`crate::ServerConfig::snapshot_refresh`] jobs while the queue
-/// stays busy, and whenever the queue drains — so queries under
-/// sustained ingest serve boundedly-stale snapshots without ever
-/// contending on the state lock, and a drained shard always serves
-/// exact answers.
+/// backlog drains. The worker also owns snapshot publishing: it
+/// republishes the shard's read snapshot every [`SNAPSHOT_REFRESH`] jobs
+/// while the queue stays busy, and whenever the queue drains — so
+/// queries under sustained ingest serve boundedly-stale snapshots
+/// without ever contending on the state lock, and a drained shard always
+/// serves exact answers.
 pub(crate) fn worker_loop(inner: &ServerInner, tenant: &Tenant, shard: &Shard) {
-    let refresh_every = inner.config.snapshot_refresh.max(1);
     let mut since_refresh = 0usize;
     let mut scratch = WorkerScratch::default();
     while let Some(job) = shard.pop() {
         absorb_job(inner, tenant, shard, &mut scratch, job);
-        if inner.config.read_plane == ReadPlane::EpochCached {
-            since_refresh += 1;
-            if since_refresh >= refresh_every || shard.live_depth() == 0 {
-                since_refresh = 0;
-                shard.refresh_snapshot(&inner.stats);
-            }
+        since_refresh += 1;
+        if since_refresh >= SNAPSHOT_REFRESH || shard.live_depth() == 0 {
+            since_refresh = 0;
+            shard.refresh_snapshot(&inner.stats);
         }
     }
 }
@@ -62,7 +64,7 @@ pub(crate) fn worker_loop(inner: &ServerInner, tenant: &Tenant, shard: &Shard) {
 /// hand the job's buffers back to the staging pools. A payload that
 /// fails to decode or was built under another configuration counts in
 /// `frames_rejected` and leaves tenant state untouched.
-fn absorb_job(
+pub(crate) fn absorb_job(
     inner: &ServerInner,
     tenant: &Tenant,
     shard: &Shard,

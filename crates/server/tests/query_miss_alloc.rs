@@ -33,7 +33,7 @@ const PINS: [(&str, f64); 5] = [
     ("COUNT", 7.0),
     ("WCOUNT", 10.0),
     ("QUANTILE", 22.0),
-    ("WQUANTILE", 24.0),
+    ("WQUANTILE", 23.0),
     ("SERIES", 19.0),
 ];
 

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ddsketch::{AnyDDSketch, SketchConfig};
-use sketchd::{AgentSender, Bind, QueryClient, ReadPlane, RetryPolicy, ServerConfig, ServerHandle};
+use sketchd::{AgentSender, Bind, QueryClient, RetryPolicy, ServerConfig, ServerHandle};
 
 /// 2048 bins is comfortably above what the value ranges below populate,
 /// so no collapsing happens and bit-identity claims stay about the
@@ -807,76 +807,99 @@ fn retention_answers_survive_a_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Wire-level read-plane coherence: a server on the epoch-cached read
-/// plane answers the whole cacheable query family
-/// byte-identically to a locked-fold server fed the same frames, repeat
-/// queries serve from the answer cache (byte-identical again, and
-/// counted), and the snapshot counters ride STATS.
+/// Wire-level read-plane coherence: the whole cacheable query family
+/// answers with the bits of a from-scratch oracle — the integer union
+/// for `COUNT`/`QUANTILE`, the integer plus `DDS3` union for
+/// `WCOUNT`/`WQUANTILE`, and each window's union of `m1` frames for
+/// `SERIES` — repeat queries serve from the answer cache (byte-identical,
+/// and counted), and the snapshot counters ride STATS.
 #[test]
-fn epoch_cached_answers_match_locked_fold_over_the_wire() {
+fn snapshot_answers_match_a_from_scratch_union_over_the_wire() {
     use ddsketch::AnyWeightedDDSketch;
+    use std::collections::BTreeMap;
 
-    let spawn = |read_plane| {
-        let config = ServerConfig {
-            read_plane,
-            ..server_config()
-        };
-        ServerHandle::spawn(&Bind::Tcp("127.0.0.1:0".into()), config).unwrap()
-    };
-    let cached = spawn(ReadPlane::EpochCached);
-    let locked = spawn(ReadPlane::LockedFold);
+    let server = ServerHandle::spawn(&Bind::Tcp("127.0.0.1:0".into()), server_config()).unwrap();
+    let mut integer = cfg().build().unwrap();
+    // Dyadic weights keep every f64 partial sum exact, so the server's
+    // fold order cannot move a bit of the weighted answers.
+    let mut weighted = AnyWeightedDDSketch::new(cfg()).unwrap();
+    let mut m1_windows: BTreeMap<u64, AnyDDSketch> = BTreeMap::new();
 
-    // Identical mixed-plane streams into both servers (dyadic
-    // weights keep every f64 partial sum exact).
-    for server in [&cached, &locked] {
-        let mut agent = AgentSender::connect(server.endpoint().clone(), "acme").unwrap();
-        for i in 0..32u64 {
-            let bytes = payload((1..=12).map(|k| f64::from(k) * 0.75 + i as f64 * 0.3));
-            agent
-                .send_encoded(&format!("m{}", i % 4), (i % 5) * 10, &bytes)
-                .unwrap();
-            let mut frame = AnyWeightedDDSketch::new(cfg()).unwrap();
-            for k in 1..=6u32 {
-                let v = f64::from(k) * 1.25 + i as f64 * 0.5;
-                let w = f64::from(k % 3) * 0.25 + 0.25;
-                frame.add_with_count(v, w).unwrap();
-            }
-            agent
-                .send_encoded(&format!("m{}", i % 4), (i % 5) * 10, &frame.encode())
+    let mut agent = AgentSender::connect(server.endpoint().clone(), "acme").unwrap();
+    for i in 0..32u64 {
+        let (metric, ts) = (format!("m{}", i % 4), (i % 5) * 10);
+        let values: Vec<f64> = (1..=12)
+            .map(|k| f64::from(k) * 0.75 + i as f64 * 0.3)
+            .collect();
+        let bytes = payload(values.iter().copied());
+        agent.send_encoded(&metric, ts, &bytes).unwrap();
+        let frame = AnyDDSketch::decode(&bytes).unwrap();
+        integer.merge_from(&frame).unwrap();
+        for &v in &values {
+            weighted.add_with_count(v, 1.0).unwrap();
+        }
+        if metric == "m1" {
+            let cell = m1_windows
+                .entry(ts)
+                .or_insert_with(|| cfg().build().unwrap());
+            cell.merge_from(&frame).unwrap();
+        }
+        let mut frame = AnyWeightedDDSketch::new(cfg()).unwrap();
+        for k in 1..=6u32 {
+            let w = f64::from(k % 3) * 0.25 + 0.25;
+            frame
+                .add_with_count(f64::from(k) * 1.25 + i as f64 * 0.5, w)
                 .unwrap();
         }
-        agent.close().unwrap();
-        let mut client = QueryClient::connect(server.endpoint()).unwrap();
-        await_frames(&mut client, 64);
-        client.sync().unwrap();
+        agent.send_encoded(&metric, ts, &frame.encode()).unwrap();
+        weighted.merge_from(&frame).unwrap();
     }
+    agent.close().unwrap();
+    let mut client = QueryClient::connect(server.endpoint()).unwrap();
+    await_frames(&mut client, 64);
+    client.sync().unwrap();
 
-    let mut on_cached = QueryClient::connect(cached.endpoint()).unwrap();
-    let mut on_locked = QueryClient::connect(locked.endpoint()).unwrap();
-    let lines = [
-        "COUNT acme",
-        "WCOUNT acme",
-        "QUANTILE acme 0.01 0.5 0.9 0.99",
-        "WQUANTILE acme 0.25 0.5 0.99",
-        "SERIES acme m1 0.9",
+    // Every number a response carries, SERIES window labels included,
+    // as f64 bits.
+    let parse = |body: &str| -> Vec<u64> {
+        body.split([' ', '='])
+            .map(|v| v.parse::<f64>().unwrap().to_bits())
+            .collect()
+    };
+    let bits = |values: &[f64]| -> Vec<u64> { values.iter().map(|v| v.to_bits()).collect() };
+    let series: Vec<f64> = m1_windows
+        .iter()
+        .flat_map(|(&w, cell)| [w as f64, cell.quantile(0.9).unwrap()])
+        .collect();
+    let (qs, wqs) = ([0.01, 0.5, 0.9, 0.99], [0.25, 0.5, 0.99]);
+    let oracle = [
+        ("COUNT acme", bits(&[integer.count() as f64])),
+        ("WCOUNT acme", bits(&[weighted.weighted_count()])),
+        (
+            "QUANTILE acme 0.01 0.5 0.9 0.99",
+            bits(&integer.quantiles(&qs).unwrap()),
+        ),
+        (
+            "WQUANTILE acme 0.25 0.5 0.99",
+            bits(&weighted.quantiles(&wqs).unwrap()),
+        ),
+        ("SERIES acme m1 0.9", bits(&series)),
     ];
-    for line in lines {
-        let first = on_cached.command(line).unwrap();
-        let reference = on_locked.command(line).unwrap();
-        assert_eq!(first, reference, "{line}");
+    for (line, want) in &oracle {
+        let first = client.command(line).unwrap();
+        assert_eq!(&parse(&first), want, "{line}: {first}");
         // The repeat is an answer-cache hit: byte-identical.
-        let again = on_cached.command(line).unwrap();
+        let again = client.command(line).unwrap();
         assert_eq!(again, first, "cached repeat of {line}");
     }
-    let stats = on_cached.stats().unwrap();
+    let stats = client.stats().unwrap();
     assert!(
-        stats.query_cache_hits >= lines.len() as u64,
+        stats.query_cache_hits >= oracle.len() as u64,
         "repeats should hit the cache ({} hits)",
         stats.query_cache_hits
     );
     assert!(stats.snapshot_rebuilds >= 1, "snapshots were never built");
-    cached.shutdown().unwrap();
-    locked.shutdown().unwrap();
+    server.shutdown().unwrap();
 }
 
 /// Protocol violations answer `-ERR` and leave the session usable;

@@ -61,8 +61,9 @@
 //! socket with corruption injection and a kill/restore epilogue;
 //! `examples/weighted.rs` runs the f64 count plane end to end
 //! (trace-sampled `DDS3` submissions + ingest-time decay);
-//! `crates/bench/benches/server.rs` soaks it with ≥ 1M payloads
-//! (`results/BENCH_server.json`).
+//! `crates/bench/benches/server.rs` scales it from 8 to 512 concurrent
+//! agents (`results/BENCH_server_evloop.json`), and the `fleetbench`
+//! package measures its ingest and query throughput.
 
 pub use datasets;
 pub use ddsketch;
